@@ -153,8 +153,23 @@ inline SizeSample measure(const Scheme& scheme, const Graph& g, double x,
   return s;
 }
 
+/// Rows printed with a verdict other than OK so far in this process.
+inline int& failed_rows() {
+  static int count = 0;
+  return count;
+}
+
+/// The table harnesses' exit status: 0 when every row printed OK, else 1
+/// with the count on stderr, so a broken reproduction fails CI.
+inline int table_exit_status() {
+  if (failed_rows() == 0) return 0;
+  std::fprintf(stderr, "%d row(s) not OK\n", failed_rows());
+  return 1;
+}
+
 /// Prints one classification row: measured sizes along the sweep, the
-/// fitted growth class, the paper's bound, and the verdict.
+/// fitted growth class, the paper's bound, and the verdict.  A row that
+/// is not OK is counted in failed_rows().
 inline void print_row(const std::string& property, const std::string& family,
                       const std::string& paper_bound,
                       const std::vector<SizeSample>& samples,
@@ -170,6 +185,7 @@ inline void print_row(const std::string& property, const std::string& family,
   }
   const GrowthClass fitted = classify_growth(points);
   const bool match = fitted == expected;
+  if (!complete || !match) ++failed_rows();
   std::printf("%-28s %-12s %-14s %-24s %-13s %s\n", property.c_str(),
               family.c_str(), paper_bound.c_str(), sizes.c_str(),
               to_string(fitted).c_str(),

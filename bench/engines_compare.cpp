@@ -56,10 +56,8 @@ struct WorkloadTiming {
   int m = 0;
   int radius = 0;
   RepTiming seed;
-  RepTiming direct;
-  RepTiming direct_cached;
-  RepTiming parallel;        // persistent worker pool
-  RepTiming parallel_spawn;  // spawn-per-run (the pre-pool behaviour)
+  RepTiming direct;           // one-thread SweepEngine
+  RepTiming parallel;         // SweepEngine on every hardware thread
   RepTiming message_passing;  // only timed on small instances
 };
 
@@ -81,23 +79,13 @@ WorkloadTiming time_workload(const std::string& name, const Graph& g,
   t.seed =
       time_reps(reps, [&] { return agrees(bench::seed_run_verifier(g, proof, a)); });
 
-  DirectEngine uncached({/*cache_views=*/false});
-  t.direct =
-      time_reps(reps, [&] { return agrees(uncached.run(g, proof, a)); });
+  SweepEngine direct(1);
+  t.direct = time_reps(reps, [&] { return agrees(direct.run(g, proof, a)); });
 
-  DirectEngine cached;
-  (void)cached.run(g, proof, a);  // warm: steady-state is the cache-hit path
-  t.direct_cached =
-      time_reps(reps, [&] { return agrees(cached.run(g, proof, a)); });
-
-  ParallelEngine parallel;
+  SweepEngine parallel(0);
   (void)parallel.run(g, proof, a);  // create the pool outside the timing
   t.parallel =
       time_reps(reps, [&] { return agrees(parallel.run(g, proof, a)); });
-
-  ParallelEngine spawning(0, /*persistent_pool=*/false);
-  t.parallel_spawn =
-      time_reps(reps, [&] { return agrees(spawning.run(g, proof, a)); });
 
   if (g.n() <= 512) {
     MessagePassingEngine flooding;
@@ -108,8 +96,8 @@ WorkloadTiming time_workload(const std::string& name, const Graph& g,
 }
 
 void print_json(std::FILE* out, const std::vector<WorkloadTiming>& rows) {
-  // The parallel rows shard across every hardware thread (ParallelEngine's
-  // default), so that is the fan-out this file's numbers were taken at.
+  // The parallel rows shard across every hardware thread (SweepEngine(0)),
+  // so that is the fan-out this file's numbers were taken at.
   bench::json_header(out, "bench/engines_compare",
                      static_cast<int>(std::thread::hardware_concurrency()));
   std::fprintf(out, "  \"workloads\": [\n");
@@ -118,32 +106,23 @@ void print_json(std::FILE* out, const std::vector<WorkloadTiming>& rows) {
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"n\": %d, \"m\": %d, \"radius\": "
                  "%d,\n     \"timings_ms\": {\"seed_sequential\": %.3f, "
-                 "\"direct\": %.3f, \"direct_cached\": %.3f, \"parallel\": "
-                 "%.3f, \"parallel_spawn\": %.3f, \"message_passing\": "
-                 "%.3f},\n",
+                 "\"direct\": %.3f, \"parallel\": %.3f, "
+                 "\"message_passing\": %.3f},\n",
                  t.name.c_str(), t.n, t.m, t.radius, t.seed.best_ms,
-                 t.direct.best_ms, t.direct_cached.best_ms,
-                 t.parallel.best_ms, t.parallel_spawn.best_ms,
+                 t.direct.best_ms, t.parallel.best_ms,
                  t.message_passing.best_ms);
     std::fprintf(out,
                  "     \"p50_ms\": {\"seed_sequential\": %.3f, \"direct\": "
-                 "%.3f, \"direct_cached\": %.3f, \"parallel\": %.3f, "
-                 "\"parallel_spawn\": %.3f},\n"
+                 "%.3f, \"parallel\": %.3f},\n"
                  "     \"p99_ms\": {\"seed_sequential\": %.3f, \"direct\": "
-                 "%.3f, \"direct_cached\": %.3f, \"parallel\": %.3f, "
-                 "\"parallel_spawn\": %.3f},\n",
-                 t.seed.p50_ms, t.direct.p50_ms, t.direct_cached.p50_ms,
-                 t.parallel.p50_ms, t.parallel_spawn.p50_ms, t.seed.p99_ms,
-                 t.direct.p99_ms, t.direct_cached.p99_ms, t.parallel.p99_ms,
-                 t.parallel_spawn.p99_ms);
+                 "%.3f, \"parallel\": %.3f},\n",
+                 t.seed.p50_ms, t.direct.p50_ms, t.parallel.p50_ms,
+                 t.seed.p99_ms, t.direct.p99_ms, t.parallel.p99_ms);
     std::fprintf(out,
                  "     \"speedup_vs_seed\": {\"direct\": %.2f, "
-                 "\"direct_cached\": %.2f, \"parallel\": %.2f, "
-                 "\"parallel_spawn\": %.2f}}%s\n",
+                 "\"parallel\": %.2f}}%s\n",
                  t.seed.best_ms / t.direct.best_ms,
-                 t.seed.best_ms / t.direct_cached.best_ms,
                  t.seed.best_ms / t.parallel.best_ms,
-                 t.seed.best_ms / t.parallel_spawn.best_ms,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -186,21 +165,16 @@ int main(int argc, char** argv) {
                                  scheme.verifier(), reps));
   }
 
-  std::printf("%-24s %8s %8s | %12s %12s %12s %12s %12s\n", "workload", "n",
-              "m", "seed ms", "direct ms", "cached ms", "pool ms",
-              "spawn ms");
+  std::printf("%-24s %8s %8s | %12s %12s %12s\n", "workload", "n", "m",
+              "seed ms", "direct ms", "pool ms");
   for (const WorkloadTiming& t : rows) {
-    std::printf("%-24s %8d %8d | %12.3f %12.3f %12.3f %12.3f %12.3f\n",
-                t.name.c_str(), t.n, t.m, t.seed.best_ms, t.direct.best_ms,
-                t.direct_cached.best_ms, t.parallel.best_ms,
-                t.parallel_spawn.best_ms);
-    std::printf("%-24s speedups vs seed: direct %.2fx, cached %.2fx, "
-                "parallel %.2fx (spawn-per-run %.2fx); parallel p50/p99 "
-                "%.3f/%.3fms\n",
+    std::printf("%-24s %8d %8d | %12.3f %12.3f %12.3f\n", t.name.c_str(),
+                t.n, t.m, t.seed.best_ms, t.direct.best_ms,
+                t.parallel.best_ms);
+    std::printf("%-24s speedups vs seed: direct %.2fx, parallel %.2fx; "
+                "parallel p50/p99 %.3f/%.3fms\n",
                 "", t.seed.best_ms / t.direct.best_ms,
-                t.seed.best_ms / t.direct_cached.best_ms,
-                t.seed.best_ms / t.parallel.best_ms,
-                t.seed.best_ms / t.parallel_spawn.best_ms, t.parallel.p50_ms,
+                t.seed.best_ms / t.parallel.best_ms, t.parallel.p50_ms,
                 t.parallel.p99_ms);
   }
 
@@ -216,8 +190,7 @@ int main(int argc, char** argv) {
   // Any timing of -1 means a backend disagreed with the seed semantics.
   for (const WorkloadTiming& t : rows) {
     if (t.seed.best_ms < 0 || t.direct.best_ms < 0 ||
-        t.direct_cached.best_ms < 0 || t.parallel.best_ms < 0 ||
-        t.parallel_spawn.best_ms < 0) {
+        t.parallel.best_ms < 0) {
       std::fprintf(stderr, "verdict mismatch in workload %s\n",
                    t.name.c_str());
       return 1;

@@ -47,7 +47,6 @@ struct LoopTiming {
   int iterations = 0;
   double mutated_fraction = 0;  // labels mutated per iteration
   double direct_ms = -1;
-  double direct_cached_ms = -1;
   double parallel_ms = -1;
   double incremental_ms = -1;
   double incremental_nopatch_ms = -1;  // PR 3 config: re-extract dirty balls
@@ -118,11 +117,9 @@ LoopTiming time_loop(const std::string& name, const Graph& graph,
     return c == t.checksum_direct ? elapsed.count() : -1.0;
   };
 
-  DirectEngine uncached({/*cache_views=*/false});
-  t.direct_ms = timed(uncached, /*is_reference=*/true);
-  DirectEngine cached;
-  t.direct_cached_ms = timed(cached, false);
-  ParallelEngine parallel;
+  SweepEngine direct(1);
+  t.direct_ms = timed(direct, /*is_reference=*/true);
+  SweepEngine parallel(0);
   t.parallel_ms = timed(parallel, false);
   IncrementalEngine incremental;
   std::vector<double> iter_us;
@@ -304,11 +301,9 @@ LoopTiming exhaustive_workload() {
   t.m = g.m();
   t.iterations = 177147;  // 3^11 candidates
   t.mutated_fraction = 2.0 / n;
-  DirectEngine uncached({/*cache_views=*/false});
-  t.direct_ms = time_exhaustive(uncached, g, two_col);
-  DirectEngine cached;
-  t.direct_cached_ms = time_exhaustive(cached, g, two_col);
-  ParallelEngine parallel;
+  SweepEngine direct(1);
+  t.direct_ms = time_exhaustive(direct, g, two_col);
+  SweepEngine parallel(0);
   t.parallel_ms = time_exhaustive(parallel, g, two_col);
   IncrementalEngine incremental;
   t.incremental_ms = time_exhaustive(incremental, g, two_col);
@@ -330,24 +325,23 @@ void print_json(std::FILE* out, const std::vector<LoopTiming>& rows) {
         out,
         "    {\"name\": \"%s\", \"n\": %d, \"m\": %d, \"iterations\": %d,\n"
         "     \"mutated_fraction_per_iteration\": %.4f,\n"
-        "     \"timings_ms\": {\"direct\": %.3f, \"direct_cached\": %.3f, "
+        "     \"timings_ms\": {\"direct\": %.3f, "
         "\"parallel\": %.3f, \"incremental\": %.3f, "
         "\"incremental_nopatch\": %.3f, "
         "\"incremental_noverify\": %.3f},\n",
         t.name.c_str(), t.n, t.m, t.iterations, t.mutated_fraction,
-        t.direct_ms, t.direct_cached_ms, t.parallel_ms, t.incremental_ms,
+        t.direct_ms, t.parallel_ms, t.incremental_ms,
         t.incremental_nopatch_ms, t.incremental_noverify_ms);
     std::fprintf(
         out,
-        "     \"speedup_vs_direct\": {\"direct_cached\": %.2f, "
+        "     \"speedup_vs_direct\": {"
         "\"parallel\": %.2f, \"incremental\": %.2f, "
         "\"incremental_nopatch\": %.2f, "
         "\"incremental_noverify\": %.2f},\n"
         "     \"incremental_iter_us\": {\"p50\": %.1f, \"p90\": %.1f, "
         "\"p99\": %.1f},\n"
         "     \"patching_speedup\": %.2f}%s\n",
-        t.direct_ms / t.direct_cached_ms, t.direct_ms / t.parallel_ms,
-        t.direct_ms / t.incremental_ms,
+        t.direct_ms / t.parallel_ms, t.direct_ms / t.incremental_ms,
         t.direct_ms / t.incremental_nopatch_ms,
         t.direct_ms / t.incremental_noverify_ms,
         t.incremental_iter_p50_us, t.incremental_iter_p90_us,
@@ -374,20 +368,18 @@ int main(int argc, char** argv) {
   rows.push_back(edge_relabel_r2_workload(n, iterations));
   rows.push_back(exhaustive_workload());
 
-  std::printf("%-26s %8s %6s | %10s %10s %10s %10s %10s %10s\n", "workload",
-              "n", "iters", "direct", "cached", "parallel", "increm",
-              "nopatch", "noverify");
+  std::printf("%-26s %8s %6s | %10s %10s %10s %10s %10s\n", "workload", "n",
+              "iters", "direct", "parallel", "increm", "nopatch", "noverify");
   for (const LoopTiming& t : rows) {
-    std::printf(
-        "%-26s %8d %6d | %8.1fms %8.1fms %8.1fms %8.1fms %8.1fms %8.1fms\n",
-        t.name.c_str(), t.n, t.iterations, t.direct_ms, t.direct_cached_ms,
-        t.parallel_ms, t.incremental_ms, t.incremental_nopatch_ms,
-        t.incremental_noverify_ms);
-    std::printf("%-26s speedup vs direct: cached %.2fx, parallel %.2fx, "
+    std::printf("%-26s %8d %6d | %8.1fms %8.1fms %8.1fms %8.1fms %8.1fms\n",
+                t.name.c_str(), t.n, t.iterations, t.direct_ms,
+                t.parallel_ms, t.incremental_ms, t.incremental_nopatch_ms,
+                t.incremental_noverify_ms);
+    std::printf("%-26s speedup vs direct: parallel %.2fx, "
                 "incremental %.2fx (nopatch %.2fx, noverify %.2fx); "
                 "patching %.2fx over nopatch; iter p50/p99 %.0f/%.0fus\n",
-                "", t.direct_ms / t.direct_cached_ms,
-                t.direct_ms / t.parallel_ms, t.direct_ms / t.incremental_ms,
+                "", t.direct_ms / t.parallel_ms,
+                t.direct_ms / t.incremental_ms,
                 t.direct_ms / t.incremental_nopatch_ms,
                 t.direct_ms / t.incremental_noverify_ms,
                 t.incremental_nopatch_ms / t.incremental_ms,
@@ -405,7 +397,7 @@ int main(int argc, char** argv) {
 
   // Negative timings mean an engine disagreed with the direct checksum.
   for (const LoopTiming& t : rows) {
-    if (t.direct_ms < 0 || t.direct_cached_ms < 0 || t.parallel_ms < 0 ||
+    if (t.direct_ms < 0 || t.parallel_ms < 0 ||
         t.incremental_ms < 0 || t.incremental_nopatch_ms < 0 ||
         t.incremental_noverify_ms < 0) {
       std::fprintf(stderr, "verdict mismatch in workload %s\n",

@@ -41,26 +41,16 @@ BENCHMARK(BM_EngineSeedBaseline)->Arg(32)->Arg(100)->Unit(benchmark::kMillisecon
 
 void BM_EngineDirect(benchmark::State& state) {
   const EngineWorkload w(static_cast<int>(state.range(0)));
-  DirectEngine engine({/*cache_views=*/false});
+  SweepEngine engine(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(w.graph, w.proof, w.scheme.verifier()));
   }
 }
 BENCHMARK(BM_EngineDirect)->Arg(32)->Arg(100)->Unit(benchmark::kMillisecond);
 
-void BM_EngineDirectCached(benchmark::State& state) {
-  const EngineWorkload w(static_cast<int>(state.range(0)));
-  DirectEngine engine;
-  (void)engine.run(w.graph, w.proof, w.scheme.verifier());  // warm the cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(w.graph, w.proof, w.scheme.verifier()));
-  }
-}
-BENCHMARK(BM_EngineDirectCached)->Arg(32)->Arg(100)->Unit(benchmark::kMillisecond);
-
 void BM_EngineParallel(benchmark::State& state) {
   const EngineWorkload w(static_cast<int>(state.range(0)));
-  ParallelEngine engine;
+  SweepEngine engine(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(w.graph, w.proof, w.scheme.verifier()));
   }

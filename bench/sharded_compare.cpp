@@ -4,7 +4,7 @@
 //   sweep:    cold full rebuild (partition + halo exchange + extraction +
 //             verify) and a warm re-verify, for k = 1, 2, 4, 8 on registry
 //             schemes over large instances; every verdict set is checked
-//             against an uncached DirectEngine sweep.
+//             against sweep_sequential.
 //   interior: a mutation stream confined to stripe interiors — each batch
 //             toggles edges and proof labels well inside every shard's
 //             owned range, so no halo is ever re-exchanged and each lane
@@ -91,8 +91,7 @@ struct ChurnRow {
 void sweep_workload(const std::string& scheme_name, const Graph& g,
                     const Proof& p, const Scheme& scheme,
                     std::vector<SweepRow>* rows, bool* ok) {
-  DirectEngine reference({/*cache_views=*/false});
-  const RunResult want = reference.run(g, p, scheme.verifier());
+  const RunResult want = sweep_sequential(g, p, scheme.verifier());
   for (int k : {1, 2, 4, 8}) {
     ShardedEngineOptions options;
     options.shards = k;

@@ -4,7 +4,8 @@
 // proof (completeness), record the proof size in bits per node, and fit
 // the growth class; the verdict compares the fitted class with the
 // paper's bound.  Absolute constants differ from the paper (our encodings
-// are explicit), the growth shapes must not.
+// are explicit), the growth shapes must not.  Exits 1 if any row is not
+// OK, so CI fails on a broken reproduction.
 #include <cstdio>
 #include <memory>
 
@@ -218,5 +219,5 @@ int main() {
   std::printf(
       "verdict OK = prover's proof accepted by all nodes AND fitted growth "
       "class matches the paper.\n");
-  return 0;
+  return lcp::bench::table_exit_status();
 }

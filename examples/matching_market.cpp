@@ -15,7 +15,7 @@
 
 int main() {
   using namespace lcp;
-  DirectEngine engine;  // the execution backend for every audit below
+  SweepEngine engine(1);  // the execution backend for every audit below
   using schemes::MaxWeightMatchingScheme;
 
   // 6 workers, 6 jobs, valuations 0..9.

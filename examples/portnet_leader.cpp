@@ -17,7 +17,7 @@
 
 int main() {
   using namespace lcp;
-  DirectEngine engine;  // the execution backend for every audit below
+  SweepEngine engine(1);  // the execution backend for every audit below
 
   Graph net = gen::random_connected(21, 0.15, 99);
   net.set_label(5, kLeaderLabel);  // the gateway

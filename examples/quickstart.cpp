@@ -41,8 +41,8 @@ int main() {
   }
 
   // Every node checks only its radius-1 view.  The sweep over all nodes is
-  // an ExecutionEngine; DirectEngine is the default backend.
-  DirectEngine engine;
+  // an ExecutionEngine; a one-thread SweepEngine is the default backend.
+  SweepEngine engine(1);
   const RunResult verdict = engine.run(g, proof, scheme.verifier());
   std::printf("verifier: %s\n",
               verdict.all_accept ? "all nodes accept" : "rejected");

@@ -127,12 +127,6 @@ bool BallStore::contains(std::uint64_t fingerprint, int radius) const {
   return false;
 }
 
-void BallStore::mark_uncacheable(std::uint64_t fingerprint, int radius) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (uncacheable_.size() >= 4) uncacheable_.erase(uncacheable_.begin());
-  uncacheable_.push_back(Uncacheable{fingerprint, radius});
-}
-
 bool BallStore::uncacheable(std::uint64_t fingerprint, int radius) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const Uncacheable& u : uncacheable_) {

@@ -1,12 +1,12 @@
 // The shared ball store: a refcounted, copy-on-write cache of extracted
 // radius-r balls, keyed on (graph fingerprint, radius, node).
 //
-// Every engine that caches views used to keep a private copy (DirectEngine's
-// LRU, IncrementalEngine's per-node cache), so a warm ParallelEngine or
-// DirectEngine sweep did nothing for a subsequently attached incremental
-// engine.  The BallStore factors that storage out: engines publish the balls
-// they extract and adopt the balls other engines published, sharing the
-// underlying CachedNodeView objects by shared_ptr instead of copying them.
+// A caching engine's per-node view cache is private to it, so a warm sweep
+// by one engine would do nothing for a second engine over the same graph.
+// The BallStore factors that storage out: caching engines (IncrementalEngine
+// and the sharded engine's per-shard stores) publish the balls they extract
+// and adopt the balls other engines published, sharing the underlying
+// CachedNodeView objects by shared_ptr instead of copying them.
 //
 // Sharing is safe because of a copy-on-write contract: a CachedNodeView
 // reachable from more than one owner (the store plus any engine working set)
@@ -94,7 +94,7 @@ struct BallStoreStats {
   std::uint64_t misses = 0;      ///< lookups that found nothing
   std::uint64_t publishes = 0;   ///< entries accepted into the store
   std::uint64_t evictions = 0;   ///< entries dropped for the budget
-  std::uint64_t rejected = 0;    ///< publishes refused (over cap / marked)
+  std::uint64_t rejected = 0;    ///< publishes refused (over the budget)
 };
 
 /// The store proper: (graph fingerprint, radius) -> one BallPtr per node,
@@ -125,12 +125,10 @@ class BallStore {
   bool publish(std::uint64_t fingerprint, int radius,
                std::vector<BallPtr> balls, std::size_t ball_nodes);
 
-  /// True when the entry is resident.  No LRU update, no counters; used by
-  /// producers to skip redundant publishes.
+  /// True when the entry is resident.  No LRU update, no counters.
   bool contains(std::uint64_t fingerprint, int radius) const;
 
-  /// Marks the pair as not worth caching (its balls blow the budget).
-  void mark_uncacheable(std::uint64_t fingerprint, int radius);
+  /// True when a publish of the pair was refused for blowing the budget.
   bool uncacheable(std::uint64_t fingerprint, int radius) const;
 
   void clear();

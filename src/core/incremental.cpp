@@ -101,16 +101,6 @@ RunResult IncrementalEngine::result_from_verdicts() const {
 
 RunResult IncrementalEngine::run(const Graph& g, const Proof& p,
                                  const LocalVerifier& a) {
-  RunResult result = run_impl(g, p, a);
-  // Attribution lives outside the cached-verdict machinery on purpose: it
-  // diffs whole rejecting lists, so overflow fallbacks and uncached
-  // sweeps keep per-centre flips (the path that previously lost them).
-  attribution_.finish(g, a, &result);
-  return result;
-}
-
-RunResult IncrementalEngine::run_impl(const Graph& g, const Proof& p,
-                                      const LocalVerifier& a) {
   // Only the delta paths repopulate this; any other outcome (full sweep,
   // unchanged run, fallback) leaves the stable dirty-set surface empty.
   last_dirty_centers_.clear();

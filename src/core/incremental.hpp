@@ -21,8 +21,8 @@
 //      proof labels; node additions grow the per-node caches in place.  A
 //      state-fingerprint comparison (O(n + m + proof bits), skippable via
 //      options) detects out-of-band mutations and falls back to a full
-//      sweep, so results stay identical to DirectEngine's even when the
-//      delta contract is violated.
+//      sweep, so results stay identical to sweep_sequential's even when
+//      the delta contract is violated.
 //
 //   2. Content path.  No tracker (or a foreign graph): the engine compares
 //      the graph fingerprint with its cached one and, when the graph is
@@ -44,8 +44,8 @@
 // tracker, cache overflow — is a full sweep that rebuilds the cache.  The
 // equivalence corpus in tests/test_engines.cpp and the mutation fuzz test
 // in tests/test_incremental_fuzz.cpp pin bit-identical RunResults against
-// DirectEngine on every path (the fuzz covers the full patching x sharding
-// matrix).
+// sweep_sequential on every path (the fuzz covers the full patching x
+// sharding matrix).
 #ifndef LCP_CORE_INCREMENTAL_HPP_
 #define LCP_CORE_INCREMENTAL_HPP_
 
@@ -147,7 +147,6 @@ class IncrementalEngine final : public ExecutionEngine {
   }
 
  private:
-  RunResult run_impl(const Graph& g, const Proof& p, const LocalVerifier& a);
   RunResult full_sweep(const Graph& g, const Proof& p,
                        const LocalVerifier& a, std::uint64_t graph_fp);
   RunResult run_tracker_path(const Graph& g, const Proof& p,
@@ -172,7 +171,6 @@ class IncrementalEngine final : public ExecutionEngine {
   DeltaTracker* tracker_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   obs::Journal* journal_ = nullptr;
-  VerdictAttribution attribution_;
   ViewExtractor extractor_;
   std::unique_ptr<WorkerPool> pool_;
 

@@ -4,8 +4,9 @@
 // 1; on a no-instance at least one node must output 0.
 //
 // The sweep itself is performed by an ExecutionEngine (core/engine.hpp):
-// hold a DirectEngine (or ParallelEngine / IncrementalEngine) and call
-// run(), or use default_engine() for one-off stateless sweeps.  The old
+// hold a SweepEngine (or an IncrementalEngine, to re-verify under small
+// changes) and call run(), or use default_engine() for one-off stateless
+// sweeps.  The old
 // run_verifier(g, p, a) compatibility shim is gone — it was a strict alias
 // of default_engine().run(g, p, a).  Callers that want the whole
 // scheme-plus-runtime stack wired up should build a VerificationSession

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -232,33 +233,24 @@ VerificationSession::VerificationSession(Builder&& b)
         "VerificationSession: no scheme configured");
   }
 
-  // Remember which store the journal should attach to before the switch
-  // moves b.store_ into the engine's options.
-  std::shared_ptr<BallStore> store_ref = b.store_;
-  if (store_ref == nullptr && (b.kind_ == EngineKind::kIncremental ||
-                               b.kind_ == EngineKind::kSpotCheck)) {
-    store_ref = b.incremental_options_.store;
+  // Only the incremental engine (bare, or inside a spot-check) reads a
+  // store.  Remember which one the journal should attach to before the
+  // switch moves b.store_ into the engine's options.
+  std::shared_ptr<BallStore> store_ref;
+  if (b.kind_ == EngineKind::kIncremental ||
+      b.kind_ == EngineKind::kSpotCheck) {
+    store_ref = b.store_ != nullptr ? b.store_ : b.incremental_options_.store;
   }
 
   switch (b.kind_) {
-    case EngineKind::kDirect: {
-      DirectEngineOptions options;
-      options.store = std::move(b.store_);
-      // One cached (graph, radius) entry: repeat verify() of unchanged
-      // state stays extraction-free, while a mutating session doesn't
-      // retain stale ball snapshots for fingerprints that will never
-      // recur (the multi-graph LRU exists for alternating-graph loops,
-      // which a session — bound to one live graph — never runs).
-      options.max_cached_graphs = 1;
-      engine_ = std::make_unique<DirectEngine>(std::move(options));
+    case EngineKind::kDirect:
+      engine_ = make_engine("direct");
       break;
-    }
     case EngineKind::kMessagePassing:
       engine_ = make_engine("message-passing");
       break;
     case EngineKind::kParallel:
-      engine_ = std::make_unique<ParallelEngine>(
-          /*threads=*/0, /*persistent_pool=*/true, std::move(b.store_));
+      engine_ = make_engine("parallel");
       break;
     case EngineKind::kIncremental: {
       IncrementalEngineOptions options = std::move(b.incremental_options_);
@@ -309,14 +301,7 @@ VerificationSession::VerificationSession(Builder&& b)
     }
   }
 
-  switch (b.kind_) {
-    case EngineKind::kDirect: engine_name_ = "direct"; break;
-    case EngineKind::kMessagePassing: engine_name_ = "message-passing"; break;
-    case EngineKind::kParallel: engine_name_ = "parallel"; break;
-    case EngineKind::kIncremental: engine_name_ = "incremental"; break;
-    case EngineKind::kSharded: engine_name_ = "sharded"; break;
-    case EngineKind::kSpotCheck: engine_name_ = "spotcheck"; break;
-  }
+  engine_name_ = engine_->name();
 
   auto initial = scheme_->prove(graph_);
   proof_ = initial.has_value() ? std::move(*initial)
@@ -339,10 +324,10 @@ VerificationSession::VerificationSession(Builder&& b)
   if (journal_ != nullptr) {
     engine_->attach_journal(journal_.get());
     if (maintainer_ != nullptr) maintainer_->attach_journal(journal_.get());
-    // The sharded backend ignores shared stores; everyone else gets the
-    // store's adopt/publish events.  Remember the attachment so the
-    // destructor can sever it — shared stores outlive the session.
-    if (store_ref != nullptr && b.kind_ != EngineKind::kSharded) {
+    // The store's adopt/publish events join the journal.  Remember the
+    // attachment so the destructor can sever it — shared stores outlive
+    // the session.
+    if (store_ref != nullptr) {
       journal_store_ = std::move(store_ref);
       journal_store_->attach_journal(journal_.get());
     }
@@ -454,6 +439,22 @@ void VerificationSession::sync_spot_stats() {
   stats_.spot_miss_bound = s.miss_bound;
 }
 
+void VerificationSession::attribute_flips(RunResult* result) {
+  if (verdict_known_) {
+    // Both lists are ascending (engines emit rejects in node order), so
+    // the flips are two linear set-differences.
+    result->flips_known = true;
+    std::set_difference(result->rejecting.begin(), result->rejecting.end(),
+                        last_rejecting_.begin(), last_rejecting_.end(),
+                        std::back_inserter(result->newly_rejecting));
+    std::set_difference(last_rejecting_.begin(), last_rejecting_.end(),
+                        result->rejecting.begin(), result->rejecting.end(),
+                        std::back_inserter(result->newly_accepting));
+  }
+  last_rejecting_ = result->rejecting;
+  verdict_known_ = true;
+}
+
 void VerificationSession::finish_verdict(const MutationBatch& batch,
                                          const MutationBatch& repair,
                                          const Graph* pre_graph,
@@ -557,6 +558,7 @@ RunResult VerificationSession::apply(const MutationBatch& batch) {
     PhaseScope scope(telemetry_.get(), "session.verify", hist_verify_);
     result = engine_->run(graph_, proof_, scheme_->verifier());
   }
+  attribute_flips(&result);
   sync_spot_stats();
   finish_verdict(batch, repair, pre_graph ? &*pre_graph : nullptr,
                  pre_proof ? &*pre_proof : nullptr, result);
@@ -568,6 +570,7 @@ RunResult VerificationSession::verify() {
   ++stats_.verifies;
   PhaseScope scope(telemetry_.get(), "session.verify", hist_verify_);
   RunResult result = engine_->run(graph_, proof_, scheme_->verifier());
+  attribute_flips(&result);
   sync_spot_stats();
   // Keep the flip baseline honest for out-of-band verify() calls; no
   // capture here — there is no offending batch to report.

@@ -135,8 +135,9 @@ class VerificationSession {
     /// "spotcheck[:BUDGET[:inner]]").
     Builder& engine(std::string_view backend);
 
-    /// Shared ball store for cross-engine view reuse (ignored by the
-    /// message-passing backend, which extracts nothing).
+    /// Shared ball store for cross-engine view reuse.  Only the
+    /// incremental backend (bare or as a spot-check inner) reads it; the
+    /// others ignore it.
     Builder& store(std::shared_ptr<BallStore> store);
 
     /// Resolve a ProofMaintainer for the scheme through the registry and
@@ -264,8 +265,8 @@ class VerificationSession {
   dynamic::ProofMaintainer* maintainer() { return maintainer_.get(); }
   bool maintainer_bound() const { return bound_; }
   const SessionStats& stats() const { return stats_; }
-  /// The make_engine spelling the session was built with ("incremental",
-  /// "sharded:4", ...), for reports and server stats.
+  /// The backend's name() ("incremental", "sharded", "direct", ...), for
+  /// reports and server stats.
   const std::string& engine_name() const { return engine_name_; }
 
   /// The attached telemetry bundle, nullptr when disabled.  The registry
@@ -307,6 +308,9 @@ class VerificationSession {
   /// Mirrors the spot-check engine's error accounting into stats_ after a
   /// run; no-op on exact backends.
   void sync_spot_stats();
+  /// Fills the result's flip fields against the previous verdict this
+  /// session returned, then adopts it as the new baseline.
+  void attribute_flips(RunResult* result);
   void finish_verdict(const MutationBatch& batch,
                       const MutationBatch& repair, const Graph* pre_graph,
                       const Proof* pre_proof, const RunResult& result);
@@ -338,11 +342,15 @@ class VerificationSession {
   std::shared_ptr<obs::Journal> journal_;
   bool forensics_ = false;
   obs::ForensicsOptions forensics_options_;
-  std::string engine_name_;  // make_engine spelling, for reports
+  std::string engine_name_;  // engine_->name(), for reports
   // The store the journal was attached to; detached in the destructor
   // because shared stores outlive the session (and its journal).
   std::shared_ptr<BallStore> journal_store_;
   bool last_all_accept_ = true;
+  // The previous verdict's rejecting centres, the baseline for the flip
+  // fields of the next one (verdict_known_ is false before the first).
+  std::vector<int> last_rejecting_;
+  bool verdict_known_ = false;
   std::optional<obs::RejectionReport> last_rejection_;
   // Recent repairs with the nodes they touched, so a report can count
   // each repair's ops on the now-rejecting centres.

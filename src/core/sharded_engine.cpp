@@ -353,17 +353,14 @@ RunResult ShardedEngine::result_from_rejects(const Graph& g) const {
 RunResult ShardedEngine::run(const Graph& g, const Proof& p,
                              const LocalVerifier& a) {
   ensure_configured();
-  RunResult result;
   try {
-    result = run_impl(g, p, a);
+    return run_impl(g, p, a);
   } catch (...) {
     // A throwing verifier (or transport) can leave shard state half
     // updated; drop the caches so the next run rebuilds from scratch.
     invalidate();
     throw;
   }
-  attribution_.finish(g, a, &result);
-  return result;
 }
 
 RunResult ShardedEngine::run_impl(const Graph& g, const Proof& p,

@@ -15,9 +15,9 @@
 // Local graphs replicate the host representation bit-exactly where it
 // matters (ids, labels, edge-record direction, id-sorted adjacency), so a
 // ball extracted from a shard's local graph is bit-identical to one
-// extracted from the host — verdicts and rejecting sets match DirectEngine
-// exactly (tests/test_sharded_engine.cpp pins this across the registry
-// corpus, partitioners, radii and shard counts).
+// extracted from the host — verdicts and rejecting sets match
+// sweep_sequential exactly (tests/test_sharded_engine.cpp pins this across
+// the registry corpus, partitioners, radii and shard counts).
 //
 // With a DeltaTracker attached, runs consume the dirty log under
 // IncrementalEngine semantics, with shard isolation on top:
@@ -176,7 +176,6 @@ class ShardedEngine final : public ExecutionEngine {
   DeltaTracker* tracker_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   obs::Journal* journal_ = nullptr;
-  VerdictAttribution attribution_;
   int k_ = 0;  // resolved shard count (0 until first run)
 
   std::vector<std::unique_ptr<Shard>> shards_;

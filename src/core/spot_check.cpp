@@ -293,8 +293,7 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
   // exact baseline to be incremental against.
   if (options_.budget <= 0.0) {
     // Degenerate tier: a pure pass-through, bit-identical to the inner
-    // engine (no attribution rewrite, no baseline bookkeeping beyond the
-    // exact counters).
+    // engine (no baseline bookkeeping beyond the exact counters).
     ++stats_.exact_runs;
     return inner_->run(g, p, a);
   }
@@ -319,25 +318,19 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
   if (tracker_ == nullptr || &tracker_->graph() != &g ||
       &tracker_->proof() != &p || a.radius() > tracker_->horizon()) {
     honour_audit();
-    RunResult result = exact_run(g, p, a);
-    attribution_.finish(g, a, &result);
-    return result;
+    return exact_run(g, p, a);
   }
   const auto records = tracker_->records_since(consumed_generation_);
   if (!records.has_value() || !baseline_valid_ || baseline_graph_ != &g ||
       baseline_verifier_ != &a) {
     honour_audit();
-    RunResult result = exact_run(g, p, a);
-    attribution_.finish(g, a, &result);
-    return result;
+    return exact_run(g, p, a);
   }
   if (audit || !baseline_all_accept_) {
     // Operator audit, or the state is already rejecting: statistical
     // acceptance has nothing to offer until the verdict heals.
     honour_audit();
-    RunResult result = exact_run(g, p, a);
-    attribution_.finish(g, a, &result);
-    return result;
+    return exact_run(g, p, a);
   }
 
   absorb_records(g, a.radius(), *records);
@@ -350,7 +343,6 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
     RunResult result;
     result.all_accept = true;
     result.evaluated = 0;
-    attribution_.finish(g, a, &result);
     return result;
   }
 
@@ -415,9 +407,7 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
          {"center", sampled_rejecting.front()},
          {"generation",
           static_cast<std::int64_t>(tracker_->generation())}});
-    RunResult result = exact_run(g, p, a);
-    attribution_.finish(g, a, &result);
-    return result;
+    return exact_run(g, p, a);
   }
 
   // All sampled balls accept: remove them from the pool and decay each
@@ -473,7 +463,6 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
   RunResult result;
   result.all_accept = true;
   result.evaluated = static_cast<std::uint64_t>(k);
-  attribution_.finish(g, a, &result);
   return result;
 }
 

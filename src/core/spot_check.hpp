@@ -210,7 +210,6 @@ class SpotCheckEngine final : public ExecutionEngine {
   DeltaTracker* tracker_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   obs::Journal* journal_ = nullptr;
-  VerdictAttribution attribution_;
   ViewExtractor extractor_;
   SplitMix64 rng_;
 

@@ -130,7 +130,7 @@ View extract_view(const Graph& g, const Proof& p, int v, int radius);
 /// calls, discovers the ball with a single BFS (reusing its distances), and
 /// assembles ball edges from the ball members' adjacency lists only — so a
 /// whole-graph sweep costs O(sum of ball sizes).  This is the extraction
-/// kernel behind DirectEngine and ParallelEngine (core/engine.hpp); each
+/// kernel behind sweep_sequential and SweepEngine (core/engine.hpp); each
 /// thread owns its own extractor, as instances are not thread-safe.
 class ViewExtractor {
  public:

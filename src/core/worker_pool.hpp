@@ -1,9 +1,9 @@
 // A persistent worker pool shared by the engines that shard work.
 //
-// Extracted from ParallelEngine so that IncrementalEngine can shard dirty-
-// ball re-verification across the same kind of pool without duplicating the
-// synchronisation.  The pool is deliberately minimal: dispatch(active, job)
-// runs job(w) on workers [0, active) and blocks until every one finishes,
+// SweepEngine's node ranges, IncrementalEngine's dirty-ball re-verification
+// and ShardedEngine's lanes all run on it, so the synchronisation lives in
+// one place.  The pool is deliberately minimal: dispatch(active, job) runs
+// job(w) on workers [0, active) and blocks until every one finishes,
 // rethrowing the first worker exception in the caller's thread.  Workers
 // are created once and parked on a condition variable between dispatches,
 // so repeated small dispatches don't pay thread spawn cost.

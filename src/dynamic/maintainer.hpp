@@ -21,8 +21,8 @@
 //     repaired or stale, is rejected somewhere — the verifier does not
 //     trust the maintainer.
 // A maintainer that cannot (or does not want to) repair a batch declines;
-// DynamicPipeline (dynamic/pipeline.hpp) then falls back to a full
-// reprove through the scheme and rebinds.
+// the VerificationSession (core/session.hpp) that drives it then falls
+// back to a full reprove through the scheme and rebinds.
 #ifndef LCP_DYNAMIC_MAINTAINER_HPP_
 #define LCP_DYNAMIC_MAINTAINER_HPP_
 

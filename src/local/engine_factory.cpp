@@ -13,11 +13,11 @@
 namespace lcp {
 
 std::unique_ptr<ExecutionEngine> make_engine(std::string_view name) {
-  if (name == "direct") return std::make_unique<DirectEngine>();
+  if (name == "direct") return std::make_unique<SweepEngine>(1);
   if (name == "message-passing") {
     return std::make_unique<MessagePassingEngine>();
   }
-  if (name == "parallel") return std::make_unique<ParallelEngine>();
+  if (name == "parallel") return std::make_unique<SweepEngine>(0);
   if (name == "incremental") return std::make_unique<IncrementalEngine>();
   if (name == "sharded" || name.rfind("sharded:", 0) == 0) {
     return std::make_unique<ShardedEngine>(parse_sharded_spec(name));

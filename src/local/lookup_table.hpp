@@ -37,8 +37,8 @@ class LookupTableVerifier final : public LocalVerifier {
 
   /// Batched fast path: one lock round-trip for the whole batch instead of
   /// one per view.  Fingerprints and miss evaluations happen outside the
-  /// lock; engines with materialised views (DirectEngine cache hits,
-  /// IncrementalEngine dirty sets) route through this, so table lookups
+  /// lock; engines with materialised views (IncrementalEngine dirty
+  /// sets) route through this, so table lookups
   /// on those paths stop paying per-node lock and dispatch overhead.
   void accept_batch(const View* const* views, std::size_t count,
                     std::uint8_t* out) const override;
@@ -58,7 +58,7 @@ class LookupTableVerifier final : public LocalVerifier {
  private:
   const LocalVerifier* inner_;
   // The demand-built table is shared mutable state; the lock keeps accept()
-  // safe under ParallelEngine's concurrent sweeps.
+  // safe under a multi-thread SweepEngine's concurrent sweeps.
   mutable std::mutex mutex_;
   mutable std::map<std::string, bool> table_;
   mutable std::size_t hits_ = 0;

@@ -25,9 +25,8 @@ namespace lcp {
 RunResult run_verifier_message_passing(const Graph& g, const Proof& p,
                                        const LocalVerifier& a);
 
-/// ExecutionEngine adapter over the flooding backend.  Verdict-stateless
-/// (no caches); it carries only the flip-attribution baseline every engine
-/// keeps.  Exists so the LOCAL-model semantics plug into everything
+/// ExecutionEngine adapter over the flooding backend.  Stateless (no
+/// caches).  Exists so the LOCAL-model semantics plug into everything
 /// written against the engine interface (equivalence corpus, benches,
 /// attack drivers).
 class MessagePassingEngine final : public ExecutionEngine {
@@ -35,13 +34,8 @@ class MessagePassingEngine final : public ExecutionEngine {
   std::string name() const override { return "message-passing"; }
   RunResult run(const Graph& g, const Proof& p,
                 const LocalVerifier& a) override {
-    RunResult result = run_verifier_message_passing(g, p, a);
-    attribution_.finish(g, a, &result);
-    return result;
+    return run_verifier_message_passing(g, p, a);
   }
-
- private:
-  VerdictAttribution attribution_;
 };
 
 /// The view node v assembles after `radius` flooding rounds.  Exposed for

@@ -77,7 +77,8 @@ struct RejectionReport {
 
   // Verdict attribution.
   std::vector<int> rejecting;
-  std::vector<int> newly_rejecting;  ///< empty when the engine could not diff
+  /// Empty when the session had no earlier verdict to diff against.
+  std::vector<int> newly_rejecting;
   std::vector<RejectionWitness> witnesses;
 
   // The offending window.

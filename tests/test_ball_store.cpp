@@ -199,47 +199,45 @@ TEST(BallStore, ConcurrentPublishLookupSmoke) {
   }
 }
 
-TEST(BallStore, DirectEngineWarmsDirectEngine) {
+TEST(BallStore, WarmSweepWarmsNextEngine) {
   const Graph g = gen::random_connected(30, 0.15, 17);
   const Proof p = sized_proof(30, 1);
   auto store = std::make_shared<BallStore>();
-  DirectEngine fresh({/*cache_views=*/false});
-  const RunResult want = fresh.run(g, p, parity_verifier());
+  const RunResult want = sweep_sequential(g, p, parity_verifier());
 
-  DirectEngine a({.store = store});
+  IncrementalEngine a({.store = store});
   expect_equal(want, a.run(g, p, parity_verifier()), "producer");
   EXPECT_EQ(store->stats().publishes, 1u);
 
-  DirectEngine b({.store = store});
+  IncrementalEngine b({.store = store});
   expect_equal(want, b.run(g, p, parity_verifier()), "adopter");
   EXPECT_GE(store->stats().hits, 1u);
 
   // A's later proof refresh must stay invisible to B and to the store.
   Proof p2 = p;
   p2.labels[0].append_bit(true);
-  const RunResult want2 = fresh.run(g, p2, parity_verifier());
+  const RunResult want2 = sweep_sequential(g, p2, parity_verifier());
   expect_equal(want2, a.run(g, p2, parity_verifier()), "producer mutated");
   expect_equal(want, b.run(g, p, parity_verifier()), "adopter unaffected");
 
-  DirectEngine c({.store = store});
+  IncrementalEngine c({.store = store});
   expect_equal(want2, c.run(g, p2, parity_verifier()),
                "late adopter under new proof");
 }
 
-TEST(BallStore, ParallelSweepFeedsIncrementalEngine) {
+TEST(BallStore, PublishedSweepFeedsIncrementalEngine) {
   Graph g = gen::random_connected(40, 0.1, 23);
   Proof p = sized_proof(40, 2);
   auto store = std::make_shared<BallStore>();
-  DirectEngine fresh({/*cache_views=*/false});
-  const RunResult want = fresh.run(g, p, parity_verifier());
+  const RunResult want = sweep_sequential(g, p, parity_verifier());
 
-  // Warm parallel sweep publishes into the store...
-  ParallelEngine parallel(3, /*persistent_pool=*/true, store);
-  expect_equal(want, parallel.run(g, p, parity_verifier()), "parallel");
+  // A warm sweep publishes into the store...
+  IncrementalEngine producer({.store = store});
+  expect_equal(want, producer.run(g, p, parity_verifier()), "producer");
   EXPECT_TRUE(store->contains(graph_fingerprint(g), 1));
 
-  // ...and the incremental engine's first full sweep adopts it instead of
-  // extracting.
+  // ...and a tracked incremental engine's first full sweep adopts it
+  // instead of extracting.
   DeltaTracker tracker(g, p, 1);
   IncrementalEngine inc({.store = store});
   ASSERT_TRUE(inc.attach_tracker(&tracker));
@@ -253,7 +251,7 @@ TEST(BallStore, ParallelSweepFeedsIncrementalEngine) {
   batch.set_proof_label(0, p.labels[5]);
   batch.remove_edge(g.edge_u(0), g.edge_v(0));
   tracker.apply(batch);
-  expect_equal(fresh.run(g, p, parity_verifier()),
+  expect_equal(sweep_sequential(g, p, parity_verifier()),
                inc.run(g, p, parity_verifier()), "after mutation");
   inc.attach_tracker(nullptr);
 }
@@ -273,12 +271,11 @@ TEST(BallStore, InterleavedEnginesNeverSeeStaleOrInFlightState) {
   const std::uint64_t fp0 = graph_fingerprint(g0);
 
   auto store = std::make_shared<BallStore>();
-  DirectEngine fresh({/*cache_views=*/false});
 
   DeltaTracker tracker(g, p, 1);
   IncrementalEngine inc({.store = store});
   ASSERT_TRUE(inc.attach_tracker(&tracker));
-  const RunResult want0 = fresh.run(g0, p0, parity_verifier());
+  const RunResult want0 = sweep_sequential(g0, p0, parity_verifier());
   expect_equal(want0, inc.run(g, p, parity_verifier()), "initial");
   EXPECT_TRUE(store->contains(fp0, 1));
 
@@ -295,13 +292,13 @@ TEST(BallStore, InterleavedEnginesNeverSeeStaleOrInFlightState) {
   MutationBatch cut;
   cut.remove_edge(u, v);
   tracker.apply(cut);
-  expect_equal(fresh.run(g, p, parity_verifier()),
+  expect_equal(sweep_sequential(g, p, parity_verifier()),
                inc.run(g, p, parity_verifier()), "mutated");
 
   // A second engine on the same store, running the PRISTINE graph, must be
   // served the pristine snapshot (store hit) and produce pristine results
   // — the incremental engine's patches were COW-isolated.
-  DirectEngine other({.store = store});
+  IncrementalEngine other({.store = store});
   const auto hits_before = store->stats().hits;
   expect_equal(want0, other.run(g0, p0, parity_verifier()),
                "pristine adopter during divergence");
@@ -309,8 +306,8 @@ TEST(BallStore, InterleavedEnginesNeverSeeStaleOrInFlightState) {
 
   // A third engine on the MUTATED graph must miss (different fingerprint)
   // and extract fresh — never adopt fp0's balls.
-  DirectEngine third({.store = store});
-  expect_equal(fresh.run(g, p, parity_verifier()),
+  IncrementalEngine third({.store = store});
+  expect_equal(sweep_sequential(g, p, parity_verifier()),
                third.run(g, p, parity_verifier()), "mutated adopter");
 
   // Revert: the fingerprint returns to fp0, and serving the original
@@ -320,8 +317,8 @@ TEST(BallStore, InterleavedEnginesNeverSeeStaleOrInFlightState) {
   tracker.apply(mend);
   ASSERT_EQ(graph_fingerprint(g), fp0);
   expect_equal(want0, inc.run(g, p, parity_verifier()), "reverted");
-  DirectEngine fourth({.store = store});
-  expect_equal(fresh.run(g, p, parity_verifier()),
+  IncrementalEngine fourth({.store = store});
+  expect_equal(sweep_sequential(g, p, parity_verifier()),
                fourth.run(g, p, parity_verifier()), "reverted adopter");
   inc.attach_tracker(nullptr);
 }

@@ -279,8 +279,7 @@ TEST(IncrementalEngine, BallBoundaryMutations) {
   EXPECT_EQ(engine.stats().nodes_reverified, 3u);
 
   // Fresh-engine cross-check.
-  DirectEngine fresh({/*cache_views=*/false});
-  const RunResult expected = fresh.run(g, p, ver);
+  const RunResult expected = sweep_sequential(g, p, ver);
   EXPECT_EQ(expected.rejecting, r.rejecting);
   engine.attach_tracker(nullptr);
 }
@@ -306,14 +305,14 @@ TEST(IncrementalEngine, EdgeChurnNearBallBoundary) {
   DeltaTracker tracker(g, p, 1);
   IncrementalEngine engine;
   engine.attach_tracker(&tracker);
-  DirectEngine fresh({/*cache_views=*/false});
-  EXPECT_EQ(engine.run(g, p, ver).rejecting, fresh.run(g, p, ver).rejecting);
+  EXPECT_EQ(engine.run(g, p, ver).rejecting,
+            sweep_sequential(g, p, ver).rejecting);
 
   MutationBatch batch;
   batch.add_edge(0, 7);  // node 0 suddenly sees the poison label
   tracker.apply(batch);
   const RunResult r = engine.run(g, p, ver);
-  EXPECT_EQ(r.rejecting, fresh.run(g, p, ver).rejecting);
+  EXPECT_EQ(r.rejecting, sweep_sequential(g, p, ver).rejecting);
   EXPECT_FALSE(r.all_accept);
   ASSERT_FALSE(r.rejecting.empty());
   EXPECT_EQ(r.rejecting.front(), 0);
@@ -321,7 +320,8 @@ TEST(IncrementalEngine, EdgeChurnNearBallBoundary) {
   MutationBatch undo;
   undo.remove_edge(0, 7);
   tracker.apply(undo);
-  EXPECT_EQ(engine.run(g, p, ver).rejecting, fresh.run(g, p, ver).rejecting);
+  EXPECT_EQ(engine.run(g, p, ver).rejecting,
+            sweep_sequential(g, p, ver).rejecting);
   engine.attach_tracker(nullptr);
 }
 

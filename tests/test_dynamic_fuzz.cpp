@@ -1,6 +1,6 @@
 // Randomized dynamic-maintenance fuzz: after every maintained batch the
-// pipeline's verdict must be bit-identical to a fresh stateless
-// DirectEngine sweep over the maintained assignment, must equal the
+// session's verdict must be bit-identical to the stateless reference
+// sweep over the maintained assignment, must equal the
 // scheme's ground truth (accept iff the property holds), and — whenever
 // the property holds — a scheme-regenerated proof must be fully accepted
 // too, pinning the maintained assignment to the same acceptance class as
@@ -17,12 +17,12 @@
 #include "algo/matching.hpp"
 #include "bench/churn_stream.hpp"
 #include "core/engine.hpp"
+#include "core/session.hpp"
 #include "core/shard_transport.hpp"
 #include "core/sharded_engine.hpp"
 #include "core/spot_check.hpp"
 #include "dynamic/coloring_maintainer.hpp"
 #include "dynamic/matching_maintainer.hpp"
-#include "dynamic/pipeline.hpp"
 #include "dynamic/tree_maintainer.hpp"
 #include "graph/generators.hpp"
 #include "schemes/chromatic.hpp"
@@ -32,23 +32,21 @@
 namespace lcp {
 namespace {
 
-using dynamic::DynamicPipeline;
-
 /// The three-way equivalence checked after every batch.
-void check_step(DynamicPipeline& pipe, const RunResult& got, int step) {
-  DirectEngine direct({/*cache_views=*/false});
-  const RunResult want =
-      direct.run(pipe.graph(), pipe.proof(), pipe.scheme().verifier());
+void check_step(VerificationSession& session, const RunResult& got,
+                int step) {
+  const RunResult want = sweep_sequential(session.graph(), session.proof(),
+                                          session.scheme().verifier());
   ASSERT_EQ(got.all_accept, want.all_accept) << "step " << step;
   ASSERT_EQ(got.rejecting, want.rejecting) << "step " << step;
 
-  const bool holds = pipe.scheme().holds(pipe.graph());
+  const bool holds = session.scheme().holds(session.graph());
   ASSERT_EQ(got.all_accept, holds) << "step " << step;
   if (holds) {
-    const auto fresh = pipe.scheme().prove(pipe.graph());
+    const auto fresh = session.scheme().prove(session.graph());
     ASSERT_TRUE(fresh.has_value()) << "step " << step;
-    const RunResult regen =
-        direct.run(pipe.graph(), *fresh, pipe.scheme().verifier());
+    const RunResult regen = sweep_sequential(session.graph(), *fresh,
+                                             session.scheme().verifier());
     ASSERT_TRUE(regen.all_accept) << "step " << step;
     ASSERT_EQ(got.rejecting, regen.rejecting) << "step " << step;
   }
@@ -78,16 +76,19 @@ TEST(DynamicFuzz, TreeCertificatesUnderChurn) {
   const schemes::LeaderElectionScheme scheme;
   Graph g0 = gen::random_connected(24, 0.08, 20260730);
   g0.set_label(0, schemes::kLeaderFlag);
-  DynamicPipeline pipe(
-      std::move(g0), scheme,
-      std::make_unique<dynamic::TreeCertMaintainer>(schemes::kLeaderFlag));
-  ASSERT_TRUE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(std::move(g0))
+          .scheme(scheme)
+          .maintainer(std::make_unique<dynamic::TreeCertMaintainer>(
+              schemes::kLeaderFlag))
+          .build();
+  ASSERT_TRUE(session.maintainer_bound());
 
   std::mt19937 rng(99);
   int leader = 0;
-  NodeId next_id = pipe.graph().max_id() + 1;
+  NodeId next_id = session.graph().max_id() + 1;
   for (int step = 0; step < 150; ++step) {
-    const Graph& g = pipe.graph();
+    const Graph& g = session.graph();
     MutationBatch batch;
     const int roll = std::uniform_int_distribution<int>(0, 99)(rng);
     if (roll < 34) {
@@ -130,33 +131,35 @@ TEST(DynamicFuzz, TreeCertificatesUnderChurn) {
                             BitString::from_string("110"));
     }
     if (batch.empty()) continue;
-    const RunResult r = pipe.apply(batch);
-    check_step(pipe, r, step);
+    const RunResult r = session.apply(batch);
+    check_step(session, r, step);
   }
 
   // The stream must have crossed the interesting structural events.
   const auto& stats =
-      static_cast<dynamic::TreeCertMaintainer*>(pipe.maintainer())->stats();
+      static_cast<dynamic::TreeCertMaintainer*>(session.maintainer())->stats();
   EXPECT_GT(stats.merges, 0u);
   EXPECT_GT(stats.splits, 0u);
   EXPECT_GT(stats.splices, 0u);
   EXPECT_GT(stats.reroots, 0u);
-  EXPECT_GT(pipe.stats().repaired, 60u);
-  EXPECT_GT(pipe.stats().declined, 0u);
+  EXPECT_GT(session.stats().repaired, 60u);
+  EXPECT_GT(session.stats().declined, 0u);
 }
 
 TEST(DynamicFuzz, GreedyColoringUnderChurn) {
   const int k = 4;
   const schemes::ChromaticLeqKScheme scheme(k);
-  DynamicPipeline pipe(gen::random_graph(22, 0.15, 11),
-                       scheme,
-                       std::make_unique<dynamic::GreedyColoringMaintainer>(k));
-  ASSERT_TRUE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(gen::random_graph(22, 0.15, 11))
+          .scheme(scheme)
+          .maintainer(std::make_unique<dynamic::GreedyColoringMaintainer>(k))
+          .build();
+  ASSERT_TRUE(session.maintainer_bound());
 
   std::mt19937 rng(7);
-  NodeId next_id = pipe.graph().max_id() + 1;
+  NodeId next_id = session.graph().max_id() + 1;
   for (int step = 0; step < 120; ++step) {
-    const Graph& g = pipe.graph();
+    const Graph& g = session.graph();
     MutationBatch batch;
     const int roll = std::uniform_int_distribution<int>(0, 99)(rng);
     if (roll < 45) {
@@ -176,10 +179,10 @@ TEST(DynamicFuzz, GreedyColoringUnderChurn) {
       batch.add_edge(g.n(), pick_node(rng, g));
     }
     if (batch.empty()) continue;
-    const RunResult r = pipe.apply(batch);
-    check_step(pipe, r, step);
+    const RunResult r = session.apply(batch);
+    check_step(session, r, step);
   }
-  EXPECT_GT(pipe.stats().repaired, 90u);
+  EXPECT_GT(session.stats().repaired, 90u);
 }
 
 TEST(DynamicFuzz, MaximalMatchingUnderChurn) {
@@ -191,15 +194,18 @@ TEST(DynamicFuzz, MaximalMatchingUnderChurn) {
       g0.set_edge_label(e, schemes::MaximalMatchingScheme::kMatchedBit);
     }
   }
-  DynamicPipeline pipe(std::move(g0), scheme,
-                       std::make_unique<dynamic::MatchingMaintainer>(
-                           schemes::MaximalMatchingScheme::kMatchedBit));
-  ASSERT_TRUE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(std::move(g0))
+          .scheme(scheme)
+          .maintainer(std::make_unique<dynamic::MatchingMaintainer>(
+              schemes::MaximalMatchingScheme::kMatchedBit))
+          .build();
+  ASSERT_TRUE(session.maintainer_bound());
 
   std::mt19937 rng(13);
-  NodeId next_id = pipe.graph().max_id() + 1;
+  NodeId next_id = session.graph().max_id() + 1;
   for (int step = 0; step < 120; ++step) {
-    const Graph& g = pipe.graph();
+    const Graph& g = session.graph();
     MutationBatch batch;
     const int roll = std::uniform_int_distribution<int>(0, 99)(rng);
     if (roll < 40) {
@@ -228,14 +234,14 @@ TEST(DynamicFuzz, MaximalMatchingUnderChurn) {
       if (roll < 95) batch.add_edge(g.n(), pick_node(rng, g));
     }
     if (batch.empty()) continue;
-    const RunResult r = pipe.apply(batch);
+    const RunResult r = session.apply(batch);
     // The maintainer always repairs, so the matching stays maximal and
     // every node accepts at every step.
     EXPECT_TRUE(r.all_accept) << "step " << step;
-    check_step(pipe, r, step);
+    check_step(session, r, step);
   }
-  EXPECT_EQ(pipe.stats().reproves, 0u);
-  EXPECT_EQ(pipe.stats().repaired, pipe.stats().batches);
+  EXPECT_EQ(session.stats().reproves, 0u);
+  EXPECT_EQ(session.stats().repaired, session.stats().batches);
 }
 
 TEST(DynamicFuzz, MergeHeavyComponentIdentity) {
@@ -262,10 +268,13 @@ TEST(DynamicFuzz, MergeHeavyComponentIdentity) {
   }
 
   const schemes::LeaderElectionScheme scheme;
-  DynamicPipeline pipe(
-      std::move(g0), scheme,
-      std::make_unique<dynamic::TreeCertMaintainer>(schemes::kLeaderFlag));
-  ASSERT_TRUE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(std::move(g0))
+          .scheme(scheme)
+          .maintainer(std::make_unique<dynamic::TreeCertMaintainer>(
+              schemes::kLeaderFlag))
+          .build();
+  ASSERT_TRUE(session.maintainer_bound());
 
   // 200 rounds allocate ~one union-find record each (one per split):
   // enough to cross the maintainer's compaction threshold (4n + 64
@@ -284,62 +293,65 @@ TEST(DynamicFuzz, MergeHeavyComponentIdentity) {
 
     MutationBatch sever;
     sever.remove_edge(cu, cv);
-    check_step(pipe, pipe.apply(sever), step++);
+    check_step(session, session.apply(sever), step++);
 
     if (rng() % 2 == 0) {
       // Bridge the severed chain to a neighbouring chain's tip first (a
       // cross-chain merge), then restore the cut link (another merge).
       MutationBatch bridge;
       bridge.add_edge(cc.back(), cd.back());
-      check_step(pipe, pipe.apply(bridge), step++);
+      check_step(session, session.apply(bridge), step++);
       MutationBatch unbridge;
       unbridge.add_edge(cu, cv);
       unbridge.remove_edge(cc.back(), cd.back());
-      check_step(pipe, pipe.apply(unbridge), step++);
+      check_step(session, session.apply(unbridge), step++);
     } else {
       MutationBatch restore;
       restore.add_edge(cu, cv);
-      check_step(pipe, pipe.apply(restore), step++);
+      check_step(session, session.apply(restore), step++);
     }
   }
 
   const auto& stats =
-      static_cast<dynamic::TreeCertMaintainer*>(pipe.maintainer())->stats();
+      static_cast<dynamic::TreeCertMaintainer*>(session.maintainer())->stats();
   EXPECT_GT(stats.merges, 150u);
   EXPECT_GT(stats.splits, 150u);
   EXPECT_GT(stats.record_compactions, 0u);
-  EXPECT_EQ(pipe.stats().declined, 0u);
-  EXPECT_EQ(pipe.stats().repaired, pipe.stats().batches);
+  EXPECT_EQ(session.stats().declined, 0u);
+  EXPECT_EQ(session.stats().repaired, session.stats().batches);
 }
 
 // ---------------------------------------------------------------------------
-// The patching x sharding matrix, at pipeline level, under a churn stream.
+// The patching x sharding matrix, at session level, under a churn stream.
 // ---------------------------------------------------------------------------
 
 TEST(DynamicFuzz, FourWayMatrixUnderChurnStream) {
-  // Four pipelines over identical starting state, one per {patch} x
+  // Four sessions over identical starting state, one per {patch} x
   // {shard} combination, plus a random-toggle fifth, all fed the
   // preferential-attachment + sliding-window stream (bench/churn_stream.hpp)
-  // with leader moves layered on.  After every batch all pipelines must
+  // with leader moves layered on.  After every batch all sessions must
   // report bit-identical verdicts, identical graph and tracker state
-  // fingerprints, and pipeline 0 passes the full ground-truth check.
+  // fingerprints, and session 0 passes the full ground-truth check.
   const schemes::LeaderElectionScheme scheme;
   Graph start = gen::random_connected(22, 0.08, 20260731);
   start.set_label(0, schemes::kLeaderFlag);
 
   struct Lane {
     std::string name;
-    std::unique_ptr<DynamicPipeline> pipe;
+    std::unique_ptr<VerificationSession> session;
   };
   auto make_lane = [&](const std::string& name,
                        IncrementalEngineOptions options) {
     Lane lane;
     lane.name = name;
-    lane.pipe = std::make_unique<DynamicPipeline>(
-        start, scheme,
-        std::make_unique<dynamic::TreeCertMaintainer>(schemes::kLeaderFlag),
-        std::move(options));
-    EXPECT_TRUE(lane.pipe->maintainer_bound()) << name;
+    lane.session.reset(new VerificationSession(
+        VerificationSession::on(start)
+            .scheme(scheme)
+            .maintainer(std::make_unique<dynamic::TreeCertMaintainer>(
+                schemes::kLeaderFlag))
+            .engine_options(std::move(options))
+            .build()));
+    EXPECT_TRUE(lane.session->maintainer_bound()) << name;
     return lane;
   };
   std::vector<Lane> lanes;
@@ -370,8 +382,8 @@ TEST(DynamicFuzz, FourWayMatrixUnderChurnStream) {
   ShardedEngineOptions range_options;
   range_options.shards = 7;
   ShardedEngine sharded_range(range_options);
-  ASSERT_TRUE(sharded_hash.attach_tracker(&lanes[0].pipe->tracker()));
-  ASSERT_TRUE(sharded_range.attach_tracker(&lanes[0].pipe->tracker()));
+  ASSERT_TRUE(sharded_hash.attach_tracker(&lanes[0].session->tracker()));
+  ASSERT_TRUE(sharded_range.attach_tracker(&lanes[0].session->tracker()));
 
   // Spot-check riders: two budgets x two exact inners also ride lane 0's
   // tracker through the same stream.  A sampled ACCEPT may be a false
@@ -395,7 +407,7 @@ TEST(DynamicFuzz, FourWayMatrixUnderChurnStream) {
       rider.engine = std::make_unique<SpotCheckEngine>(
           make_engine(inner),
           SpotCheckOptions{.budget = budget, .seed = 0xabc0ULL});
-      ASSERT_TRUE(rider.engine->attach_tracker(&lanes[0].pipe->tracker()));
+      ASSERT_TRUE(rider.engine->attach_tracker(&lanes[0].session->tracker()));
       riders.push_back(std::move(rider));
     }
   }
@@ -408,7 +420,7 @@ TEST(DynamicFuzz, FourWayMatrixUnderChurnStream) {
   std::mt19937 rng(31337);
   int leader = 0;
   for (int step = 0; step < 110; ++step) {
-    const Graph& g = lanes[0].pipe->graph();
+    const Graph& g = lanes[0].session->graph();
     MutationBatch batch;
     stream.next(step, g, &batch);
     if (rng() % 5 == 0 && g.n() > 1) {
@@ -421,29 +433,30 @@ TEST(DynamicFuzz, FourWayMatrixUnderChurnStream) {
     }
     if (batch.empty()) continue;
 
-    lanes[4].pipe->engine().set_patch_views(rng() % 2 == 0);
-    lanes[4].pipe->engine().set_shard_threads(rng() % 2 == 0 ? 3 : 0);
+    IncrementalEngine& toggled = *lanes[4].session->incremental_engine();
+    toggled.set_patch_views(rng() % 2 == 0);
+    toggled.set_shard_threads(rng() % 2 == 0 ? 3 : 0);
 
-    const RunResult want = lanes[0].pipe->apply(batch);
-    check_step(*lanes[0].pipe, want, step);
+    const RunResult want = lanes[0].session->apply(batch);
+    check_step(*lanes[0].session, want, step);
     const std::uint64_t want_graph_fp =
-        graph_fingerprint(lanes[0].pipe->graph());
+        graph_fingerprint(lanes[0].session->graph());
     const std::uint64_t want_state_fp =
-        lanes[0].pipe->tracker().state_fingerprint();
+        lanes[0].session->tracker().state_fingerprint();
     for (std::size_t i = 1; i < lanes.size(); ++i) {
-      const RunResult got = lanes[i].pipe->apply(batch);
+      const RunResult got = lanes[i].session->apply(batch);
       ASSERT_EQ(want.all_accept, got.all_accept)
           << lanes[i].name << " step " << step;
       ASSERT_EQ(want.rejecting, got.rejecting)
           << lanes[i].name << " step " << step;
-      ASSERT_EQ(want_graph_fp, graph_fingerprint(lanes[i].pipe->graph()))
+      ASSERT_EQ(want_graph_fp, graph_fingerprint(lanes[i].session->graph()))
           << lanes[i].name << " step " << step;
-      ASSERT_EQ(want_state_fp, lanes[i].pipe->tracker().state_fingerprint())
+      ASSERT_EQ(want_state_fp, lanes[i].session->tracker().state_fingerprint())
           << lanes[i].name << " step " << step;
     }
     for (ShardedEngine* sharded : {&sharded_hash, &sharded_range}) {
       const RunResult got =
-          sharded->run(lanes[0].pipe->graph(), lanes[0].pipe->proof(),
+          sharded->run(lanes[0].session->graph(), lanes[0].session->proof(),
                        scheme.verifier());
       ASSERT_EQ(want.all_accept, got.all_accept)
           << "sharded:" << sharded->shard_count() << " step " << step;
@@ -453,9 +466,9 @@ TEST(DynamicFuzz, FourWayMatrixUnderChurnStream) {
     for (SpotRider& rider : riders) {
       const bool audited = step % 17 == 0;
       if (audited) rider.engine->request_audit();
-      const RunResult got =
-          rider.engine->run(lanes[0].pipe->graph(), lanes[0].pipe->proof(),
-                            scheme.verifier());
+      const RunResult got = rider.engine->run(lanes[0].session->graph(),
+                                              lanes[0].session->proof(),
+                                              scheme.verifier());
       if (audited || !got.all_accept) {
         // Audited runs and rejections are exact by contract: the result
         // must be bit-identical to the ground-truth verdict, never the
@@ -481,10 +494,10 @@ TEST(DynamicFuzz, FourWayMatrixUnderChurnStream) {
   }
 
   // The stream must have driven the interesting machinery in every lane.
-  EXPECT_GT(lanes[0].pipe->engine().stats().views_patched, 0u);
-  EXPECT_GT(lanes[1].pipe->engine().stats().sharded_rounds, 0u);
-  EXPECT_GT(lanes[2].pipe->engine().stats().reextractions, 0u);
-  EXPECT_GT(lanes[0].pipe->stats().repaired, 40u);
+  EXPECT_GT(lanes[0].session->incremental_engine()->stats().views_patched, 0u);
+  EXPECT_GT(lanes[1].session->incremental_engine()->stats().sharded_rounds, 0u);
+  EXPECT_GT(lanes[2].session->incremental_engine()->stats().reextractions, 0u);
+  EXPECT_GT(lanes[0].session->stats().repaired, 40u);
   // The sharded riders must have taken the delta path and moved real
   // fringe traffic (hash scatters ids, so churn is cross-shard by design).
   EXPECT_GT(sharded_hash.stats().incremental_runs, 0u);

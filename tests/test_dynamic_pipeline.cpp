@@ -1,15 +1,15 @@
 // The dynamic proof-maintenance subsystem (src/dynamic/): targeted cases
-// for the tree, coloring, and matching maintainers and the DynamicPipeline
-// fallback machinery.  The randomized cross-check lives in
-// tests/test_dynamic_fuzz.cpp.
+// for the tree, coloring, and matching maintainers, driven through a
+// VerificationSession, and the session's decline/reprove fallback.  The
+// randomized cross-check lives in tests/test_dynamic_fuzz.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "core/engine.hpp"
+#include "core/session.hpp"
 #include "dynamic/coloring_maintainer.hpp"
 #include "dynamic/matching_maintainer.hpp"
-#include "dynamic/pipeline.hpp"
 #include "dynamic/tree_maintainer.hpp"
 #include "graph/generators.hpp"
 #include "schemes/chromatic.hpp"
@@ -19,188 +19,197 @@
 namespace lcp {
 namespace {
 
-using dynamic::DynamicPipeline;
 using dynamic::GreedyColoringMaintainer;
 using dynamic::MatchingMaintainer;
 using dynamic::TreeCertMaintainer;
 
-/// The pipeline's incremental verdict must be bit-identical to a fresh
-/// stateless DirectEngine sweep over the maintained assignment.
-void expect_matches_direct(DynamicPipeline& pipe, const RunResult& got) {
-  DirectEngine direct({/*cache_views=*/false});
-  const RunResult want =
-      direct.run(pipe.graph(), pipe.proof(), pipe.scheme().verifier());
+/// The session's incremental verdict must be bit-identical to the
+/// reference sweep over the maintained assignment.
+void expect_matches_reference(VerificationSession& session,
+                           const RunResult& got) {
+  const RunResult want = sweep_sequential(session.graph(), session.proof(),
+                                          session.scheme().verifier());
   EXPECT_EQ(got.all_accept, want.all_accept);
   EXPECT_EQ(got.rejecting, want.rejecting);
 }
 
 // ------------------------------------------------------------ tree certs --
 
-DynamicPipeline leader_pipeline(Graph g) {
+VerificationSession leader_session(Graph g) {
   static const schemes::LeaderElectionScheme scheme;
   g.set_label(0, schemes::kLeaderFlag);
-  return DynamicPipeline(
-      std::move(g), scheme,
-      std::make_unique<TreeCertMaintainer>(schemes::kLeaderFlag));
+  return VerificationSession::on(std::move(g))
+      .scheme(scheme)
+      .maintainer(std::make_unique<TreeCertMaintainer>(schemes::kLeaderFlag))
+      .build();
 }
 
 TEST(TreeMaintainer, BindsToSchemeProof) {
-  DynamicPipeline pipe = leader_pipeline(gen::random_connected(20, 0.2, 7));
-  EXPECT_TRUE(pipe.maintainer_bound());
-  EXPECT_TRUE(pipe.verify().all_accept);
+  VerificationSession session =
+      leader_session(gen::random_connected(20, 0.2, 7));
+  EXPECT_TRUE(session.maintainer_bound());
+  EXPECT_TRUE(session.verify().all_accept);
 }
 
 TEST(TreeMaintainer, SplicesAroundRemovedTreeEdge) {
   // Removing any single edge of a cycle keeps it connected, so whichever
   // edge the certificate tree used, the maintainer must heal.
-  DynamicPipeline pipe = leader_pipeline(gen::cycle(8));
-  auto* maintainer = static_cast<TreeCertMaintainer*>(pipe.maintainer());
+  VerificationSession session = leader_session(gen::cycle(8));
+  auto* maintainer = static_cast<TreeCertMaintainer*>(session.maintainer());
   for (int i = 0; i < 8; ++i) {
     MutationBatch batch;
     batch.remove_edge(i, (i + 1) % 8);
-    RunResult r = pipe.apply(batch);
+    RunResult r = session.apply(batch);
     EXPECT_TRUE(r.all_accept) << "removing edge " << i;
-    expect_matches_direct(pipe, r);
+    expect_matches_reference(session, r);
     MutationBatch undo;
     undo.add_edge(i, (i + 1) % 8);
-    r = pipe.apply(undo);
+    r = session.apply(undo);
     EXPECT_TRUE(r.all_accept);
-    expect_matches_direct(pipe, r);
+    expect_matches_reference(session, r);
   }
-  EXPECT_EQ(pipe.stats().declined, 0u);
-  EXPECT_EQ(pipe.stats().reproves, 0u);
+  EXPECT_EQ(session.stats().declined, 0u);
+  EXPECT_EQ(session.stats().reproves, 0u);
   EXPECT_GT(maintainer->stats().splices, 0u);
 }
 
 TEST(TreeMaintainer, SplitAndMergeAcrossComponents) {
-  DynamicPipeline pipe = leader_pipeline(gen::path(9));
-  auto* maintainer = static_cast<TreeCertMaintainer*>(pipe.maintainer());
+  VerificationSession session = leader_session(gen::path(9));
+  auto* maintainer = static_cast<TreeCertMaintainer*>(session.maintainer());
 
   // Cutting a path splits it; the leaderless component must raise alarms.
   MutationBatch cut;
   cut.remove_edge(4, 5);
-  RunResult r = pipe.apply(cut);
+  RunResult r = session.apply(cut);
   EXPECT_FALSE(r.all_accept);
-  expect_matches_direct(pipe, r);
+  expect_matches_reference(session, r);
   EXPECT_EQ(maintainer->stats().splits, 1u);
-  EXPECT_EQ(pipe.stats().reproves, 0u);  // the maintainer kept the forest
+  EXPECT_EQ(session.stats().reproves, 0u);  // the maintainer kept the forest
 
   // Reconnecting elsewhere merges the components back.
   MutationBatch join;
   join.add_edge(0, 8);
-  r = pipe.apply(join);
+  r = session.apply(join);
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
+  expect_matches_reference(session, r);
   EXPECT_EQ(maintainer->stats().merges, 1u);
-  EXPECT_EQ(pipe.stats().reproves, 0u);
+  EXPECT_EQ(session.stats().reproves, 0u);
 }
 
 TEST(TreeMaintainer, ReRootsOnLeaderMove) {
-  DynamicPipeline pipe = leader_pipeline(gen::random_connected(16, 0.15, 3));
-  auto* maintainer = static_cast<TreeCertMaintainer*>(pipe.maintainer());
+  VerificationSession session =
+      leader_session(gen::random_connected(16, 0.15, 3));
+  auto* maintainer = static_cast<TreeCertMaintainer*>(session.maintainer());
   MutationBatch batch;
   batch.set_node_label(0, 0);
   batch.set_node_label(11, schemes::kLeaderFlag);
-  const RunResult r = pipe.apply(batch);
+  const RunResult r = session.apply(batch);
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
+  expect_matches_reference(session, r);
   EXPECT_EQ(maintainer->stats().reroots, 1u);
-  EXPECT_EQ(pipe.stats().reproves, 0u);
+  EXPECT_EQ(session.stats().reproves, 0u);
 }
 
 TEST(TreeMaintainer, GrowsWithAddedNodes) {
-  DynamicPipeline pipe = leader_pipeline(gen::cycle(6));
-  const NodeId fresh = pipe.graph().max_id() + 1;
+  VerificationSession session = leader_session(gen::cycle(6));
+  const NodeId fresh = session.graph().max_id() + 1;
   MutationBatch batch;
   batch.add_node(fresh);
   batch.add_edge(6, 2);
-  const RunResult r = pipe.apply(batch);
-  EXPECT_EQ(pipe.graph().n(), 7);
+  const RunResult r = session.apply(batch);
+  EXPECT_EQ(session.graph().n(), 7);
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
-  EXPECT_EQ(pipe.stats().reproves, 0u);
+  expect_matches_reference(session, r);
+  EXPECT_EQ(session.stats().reproves, 0u);
 
   // An isolated addition leaves the leader component intact but breaks
   // connectivity: somebody must reject.
   MutationBatch lone;
   lone.add_node(fresh + 1);
-  const RunResult r2 = pipe.apply(lone);
+  const RunResult r2 = session.apply(lone);
   EXPECT_FALSE(r2.all_accept);
-  expect_matches_direct(pipe, r2);
+  expect_matches_reference(session, r2);
 }
 
 TEST(TreeMaintainer, RemoveThenReAddInOneBatch) {
-  DynamicPipeline pipe = leader_pipeline(gen::path(7));
+  VerificationSession session = leader_session(gen::path(7));
   MutationBatch batch;
   batch.remove_edge(3, 4);
   batch.add_edge(3, 4);
-  const RunResult r = pipe.apply(batch);
+  const RunResult r = session.apply(batch);
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
-  EXPECT_EQ(pipe.stats().reproves, 0u);
+  expect_matches_reference(session, r);
+  EXPECT_EQ(session.stats().reproves, 0u);
 }
 
 TEST(TreeMaintainer, DeclinesOutOfBandProofEdit) {
-  DynamicPipeline pipe = leader_pipeline(gen::cycle(6));
+  VerificationSession session = leader_session(gen::cycle(6));
   MutationBatch tamper;
   tamper.set_proof_label(2, BitString::from_string("1011"));
-  const RunResult r = pipe.apply(tamper);
-  // The maintainer declines, the pipeline reproves, and the fresh proof
+  const RunResult r = session.apply(tamper);
+  // The maintainer declines, the session reproves, and the fresh proof
   // overwrites the tamper: verification still accepts.
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
-  EXPECT_EQ(pipe.stats().declined, 1u);
-  EXPECT_EQ(pipe.stats().reproves, 1u);
-  EXPECT_TRUE(pipe.maintainer_bound());  // rebound to the fresh proof
+  expect_matches_reference(session, r);
+  EXPECT_EQ(session.stats().declined, 1u);
+  EXPECT_EQ(session.stats().reproves, 1u);
+  EXPECT_TRUE(session.maintainer_bound());  // rebound to the fresh proof
 
   // Subsequent batches are maintained again.
   MutationBatch batch;
   batch.remove_edge(0, 1);
-  const RunResult r2 = pipe.apply(batch);
+  const RunResult r2 = session.apply(batch);
   EXPECT_TRUE(r2.all_accept);
-  EXPECT_EQ(pipe.stats().reproves, 1u);
+  EXPECT_EQ(session.stats().reproves, 1u);
 }
 
 // -------------------------------------------------------------- coloring --
 
 TEST(ColoringMaintainer, RecolorsConflictEndpoint) {
   const schemes::ChromaticLeqKScheme scheme(3);
-  DynamicPipeline pipe(gen::cycle(6), scheme,
-                       std::make_unique<GreedyColoringMaintainer>(3));
-  ASSERT_TRUE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(gen::cycle(6))
+          .scheme(scheme)
+          .maintainer(std::make_unique<GreedyColoringMaintainer>(3))
+          .build();
+  ASSERT_TRUE(session.maintainer_bound());
   MutationBatch batch;
   batch.add_edge(0, 2);  // an even cycle 2-colours, so 0 and 2 collide
-  const RunResult r = pipe.apply(batch);
+  const RunResult r = session.apply(batch);
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
-  EXPECT_EQ(pipe.stats().reproves, 0u);
-  auto* maintainer = static_cast<GreedyColoringMaintainer*>(pipe.maintainer());
+  expect_matches_reference(session, r);
+  EXPECT_EQ(session.stats().reproves, 0u);
+  auto* maintainer =
+      static_cast<GreedyColoringMaintainer*>(session.maintainer());
   EXPECT_EQ(maintainer->stats().recolored, 1u);
 }
 
 TEST(ColoringMaintainer, DeclineFallsBackToExactProver) {
   const schemes::ChromaticLeqKScheme scheme(2);
-  DynamicPipeline pipe(gen::path(4), scheme,
-                       std::make_unique<GreedyColoringMaintainer>(2));
-  ASSERT_TRUE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(gen::path(4))
+          .scheme(scheme)
+          .maintainer(std::make_unique<GreedyColoringMaintainer>(2))
+          .build();
+  ASSERT_TRUE(session.maintainer_bound());
 
   MutationBatch batch;
   batch.add_edge(0, 2);  // triangle: not 2-colourable, greedy cannot help
-  const RunResult r = pipe.apply(batch);
+  const RunResult r = session.apply(batch);
   EXPECT_FALSE(r.all_accept);  // no-instance: rejection is the right answer
-  expect_matches_direct(pipe, r);
-  EXPECT_EQ(pipe.stats().declined, 1u);
-  EXPECT_EQ(pipe.stats().failed_proves, 1u);
-  EXPECT_FALSE(pipe.maintainer_bound());
+  expect_matches_reference(session, r);
+  EXPECT_EQ(session.stats().declined, 1u);
+  EXPECT_EQ(session.stats().failed_proves, 1u);
+  EXPECT_FALSE(session.maintainer_bound());
 
   // Removing the chord restores 2-colourability; the reprove path heals
   // the assignment and rebinds the maintainer.
   MutationBatch undo;
   undo.remove_edge(0, 2);
-  const RunResult r2 = pipe.apply(undo);
+  const RunResult r2 = session.apply(undo);
   EXPECT_TRUE(r2.all_accept);
-  expect_matches_direct(pipe, r2);
-  EXPECT_TRUE(pipe.maintainer_bound());
+  expect_matches_reference(session, r2);
+  EXPECT_TRUE(session.maintainer_bound());
 }
 
 // -------------------------------------------------------------- matching --
@@ -216,68 +225,78 @@ Graph matched_path6() {
 
 TEST(MatchingMaintainer, RepairsRemovalAndInsertion) {
   const schemes::MaximalMatchingScheme scheme;
-  DynamicPipeline pipe(matched_path6(), scheme,
-                       std::make_unique<MatchingMaintainer>(
-                           schemes::MaximalMatchingScheme::kMatchedBit));
-  ASSERT_TRUE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(matched_path6())
+          .scheme(scheme)
+          .maintainer(std::make_unique<MatchingMaintainer>(
+              schemes::MaximalMatchingScheme::kMatchedBit))
+          .build();
+  ASSERT_TRUE(session.maintainer_bound());
 
   // Dropping the middle matched edge leaves 2 and 3 free but non-adjacent:
   // still maximal, nothing to rematch.
   MutationBatch batch;
   batch.remove_edge(2, 3);
-  RunResult r = pipe.apply(batch);
+  RunResult r = session.apply(batch);
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
+  expect_matches_reference(session, r);
 
   // Re-inserting it joins two free nodes: the maintainer must match them
   // on the spot or node 2 would reject.
   MutationBatch undo;
   undo.add_edge(2, 3);
-  r = pipe.apply(undo);
+  r = session.apply(undo);
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
-  auto* maintainer = static_cast<MatchingMaintainer*>(pipe.maintainer());
+  expect_matches_reference(session, r);
+  auto* maintainer = static_cast<MatchingMaintainer*>(session.maintainer());
   EXPECT_EQ(maintainer->stats().direct_matches, 1u);
-  EXPECT_EQ(pipe.stats().reproves, 0u);
+  EXPECT_EQ(session.stats().reproves, 0u);
 }
 
 TEST(MatchingMaintainer, HealsOutOfBandBitEdit) {
   const schemes::MaximalMatchingScheme scheme;
-  DynamicPipeline pipe(matched_path6(), scheme,
-                       std::make_unique<MatchingMaintainer>(
-                           schemes::MaximalMatchingScheme::kMatchedBit));
-  ASSERT_TRUE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(matched_path6())
+          .scheme(scheme)
+          .maintainer(std::make_unique<MatchingMaintainer>(
+              schemes::MaximalMatchingScheme::kMatchedBit))
+          .build();
+  ASSERT_TRUE(session.maintainer_bound());
   MutationBatch tamper;
   tamper.set_edge_label(0, 1, 0);  // clear the matched bit behind our back
-  const RunResult r = pipe.apply(tamper);
+  const RunResult r = session.apply(tamper);
   EXPECT_TRUE(r.all_accept);
-  expect_matches_direct(pipe, r);
-  auto* maintainer = static_cast<MatchingMaintainer*>(pipe.maintainer());
+  expect_matches_reference(session, r);
+  auto* maintainer = static_cast<MatchingMaintainer*>(session.maintainer());
   EXPECT_EQ(maintainer->stats().healed_labels, 1u);
-  EXPECT_EQ(pipe.stats().reproves, 0u);
+  EXPECT_EQ(session.stats().reproves, 0u);
   // The healed label is back on the graph.
-  EXPECT_EQ(pipe.graph().edge_label(pipe.graph().edge_index(0, 1)),
+  EXPECT_EQ(session.graph().edge_label(session.graph().edge_index(0, 1)),
             schemes::MaximalMatchingScheme::kMatchedBit);
 }
 
-// -------------------------------------------------- pipeline without one --
+// --------------------------------------------------- session without one --
 
-TEST(DynamicPipeline, NullMaintainerReprovesEveryBatch) {
+TEST(SessionWithoutMaintainer, ReprovesEveryBatch) {
   static const schemes::LeaderElectionScheme scheme;
   Graph g = gen::cycle(8);
   g.set_label(0, schemes::kLeaderFlag);
-  DynamicPipeline pipe(std::move(g), scheme, nullptr);
-  EXPECT_FALSE(pipe.maintainer_bound());
+  VerificationSession session =
+      VerificationSession::on(std::move(g))
+          .scheme(scheme)
+          .maintainer(nullptr)
+          .build();
+  EXPECT_FALSE(session.maintainer_bound());
   for (int i = 0; i < 3; ++i) {
     MutationBatch batch;
     batch.remove_edge(i, i + 1);
     batch.add_edge(i, i + 1);
-    const RunResult r = pipe.apply(batch);
+    const RunResult r = session.apply(batch);
     EXPECT_TRUE(r.all_accept);
-    expect_matches_direct(pipe, r);
+    expect_matches_reference(session, r);
   }
-  EXPECT_EQ(pipe.stats().reproves, 3u);
-  EXPECT_EQ(pipe.stats().repaired, 0u);
+  EXPECT_EQ(session.stats().reproves, 3u);
+  EXPECT_EQ(session.stats().repaired, 0u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Engine equivalence corpus: Direct (cached and uncached), MessagePassing,
-// Parallel, and Incremental engines must return bit-identical RunResults —
-// verdict AND rejecting-node sets — on random graphs, several schemes,
-// honest proofs, and adversarial (tampered/empty) proofs.  The corpus
-// mutates graphs and proofs arbitrarily between runs, so it exercises the
-// IncrementalEngine's content path (full rebuilds, proof auto-diff, and
-// unchanged-state reuse) without any tracker cooperation.
+// Engine equivalence corpus: SweepEngine (inline at one thread, pooled at
+// four), MessagePassing, and Incremental engines must return bit-identical
+// RunResults to the reference sweep_sequential — verdict AND rejecting-node
+// sets — on random graphs, several schemes, honest proofs, and adversarial
+// (tampered/empty) proofs.  The corpus mutates graphs and proofs
+// arbitrarily between runs, so it exercises the IncrementalEngine's content
+// path (full rebuilds, proof auto-diff, and unchanged-state reuse) without
+// any tracker cooperation.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/checker.hpp"
@@ -79,29 +81,19 @@ void expect_equal(const RunResult& expected, const RunResult& actual,
 }
 
 void run_corpus(const Scheme& scheme) {
-  DirectEngine cached;                                  // reused across cases
-  DirectEngine uncached({/*cache_views=*/false});
+  SweepEngine direct(1);
+  SweepEngine parallel4(4);
   MessagePassingEngine flooding;
-  ParallelEngine parallel1(1);
-  ParallelEngine parallel4(4);
-  ParallelEngine spawning(4, /*persistent_pool=*/false);
-  IncrementalEngine incremental;
+  IncrementalEngine incremental;  // reused across cases
   for (const Case& c : corpus(scheme)) {
     const RunResult expected =
-        uncached.run(c.graph, c.proof, scheme.verifier());
-    expect_equal(expected, cached.run(c.graph, c.proof, scheme.verifier()),
-                 "direct-cached", c.label);
-    // Second cached run exercises the cache-hit path.
-    expect_equal(expected, cached.run(c.graph, c.proof, scheme.verifier()),
-                 "direct-cache-hit", c.label);
-    expect_equal(expected, flooding.run(c.graph, c.proof, scheme.verifier()),
-                 "message-passing", c.label);
-    expect_equal(expected, parallel1.run(c.graph, c.proof, scheme.verifier()),
-                 "parallel-1", c.label);
+        sweep_sequential(c.graph, c.proof, scheme.verifier());
+    expect_equal(expected, direct.run(c.graph, c.proof, scheme.verifier()),
+                 "direct", c.label);
     expect_equal(expected, parallel4.run(c.graph, c.proof, scheme.verifier()),
                  "parallel-4", c.label);
-    expect_equal(expected, spawning.run(c.graph, c.proof, scheme.verifier()),
-                 "parallel-spawn", c.label);
+    expect_equal(expected, flooding.run(c.graph, c.proof, scheme.verifier()),
+                 "message-passing", c.label);
     expect_equal(expected,
                  incremental.run(c.graph, c.proof, scheme.verifier()),
                  "incremental", c.label);
@@ -130,20 +122,19 @@ TEST(EngineEquivalence, AcyclicRadiusTwo) {
   run_corpus(schemes::AcyclicScheme());
 }
 
-TEST(DirectEngineCache, InvalidatesOnGraphMutation) {
-  // Same object, mutated between runs: the fingerprint must catch node
-  // labels, edge labels, and structure.
+TEST(CachingEngine, InvalidatesOnGraphMutation) {
+  // Same object, mutated between runs without a tracker: the content path
+  // must catch node labels, edge labels, and structure.
   const schemes::LeaderElectionScheme scheme;
   Graph g = gen::random_connected(12, 0.25, 21);
   g.set_label(4, schemes::kLeaderFlag);
   const Proof p = *scheme.prove(g);
 
-  DirectEngine cached;
-  DirectEngine fresh({/*cache_views=*/false});
+  IncrementalEngine cached;
   ASSERT_TRUE(cached.run(g, p, scheme.verifier()).all_accept);
 
   g.set_label(7, schemes::kLeaderFlag);  // second leader: proof now invalid
-  const RunResult expected = fresh.run(g, p, scheme.verifier());
+  const RunResult expected = sweep_sequential(g, p, scheme.verifier());
   const RunResult actual = cached.run(g, p, scheme.verifier());
   EXPECT_FALSE(actual.all_accept);
   EXPECT_EQ(expected.rejecting, actual.rejecting);
@@ -151,145 +142,48 @@ TEST(DirectEngineCache, InvalidatesOnGraphMutation) {
   Graph h = gen::cycle(12);
   h.set_label(0, schemes::kLeaderFlag);
   const Proof ph = *scheme.prove(h);
-  expect_equal(fresh.run(h, ph, scheme.verifier()),
-               cached.run(h, ph, scheme.verifier()), "direct-cached",
+  expect_equal(sweep_sequential(h, ph, scheme.verifier()),
+               cached.run(h, ph, scheme.verifier()), "incremental",
                "switch-to-new-graph");
 }
 
-TEST(DirectEngineCache, AlternatingGraphsDontThrash) {
-  // The gluing attack alternates between two instances; both must stay
-  // resident so neither run pays re-extraction.
+TEST(DefaultEngine, ConcurrentCallersMatchReference) {
+  // default_engine() is one process-wide instance that promises a
+  // stateless, re-entrant run(): concurrent callers must neither race on
+  // it (the ThreadSanitizer job runs this suite) nor see each other's
+  // results.
   const schemes::BipartiteScheme scheme;
-  Graph g1 = gen::cycle(12);
-  Graph g2 = gen::grid(3, 4);
-  const Proof p1 = *scheme.prove(g1);
-  const Proof p2 = *scheme.prove(g2);
-  DirectEngine cached;
-  DirectEngine fresh({/*cache_views=*/false});
-  for (int round = 0; round < 3; ++round) {
-    expect_equal(fresh.run(g1, p1, scheme.verifier()),
-                 cached.run(g1, p1, scheme.verifier()), "direct-lru",
-                 "g1-round-" + std::to_string(round));
-    expect_equal(fresh.run(g2, p2, scheme.verifier()),
-                 cached.run(g2, p2, scheme.verifier()), "direct-lru",
-                 "g2-round-" + std::to_string(round));
+  const Graph g = gen::cycle(64);
+  const Proof honest = *scheme.prove(g);
+  const Proof tampered = tampered_variants(honest, 1, 5).front();
+  const RunResult want_honest = sweep_sequential(g, honest, scheme.verifier());
+  const RunResult want_tampered =
+      sweep_sequential(g, tampered, scheme.verifier());
+  ASSERT_NE(want_honest.all_accept, want_tampered.all_accept);
+
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 50;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < kRuns; ++i) {
+        // Alternate proofs so a leaked result would be visible.
+        const bool tamper = (i + t) % 2 == 0;
+        const RunResult got = default_engine().run(
+            g, tamper ? tampered : honest, scheme.verifier());
+        const RunResult& want = tamper ? want_tampered : want_honest;
+        if (got.all_accept != want.all_accept ||
+            got.rejecting != want.rejecting) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
   }
-  EXPECT_EQ(cached.cached_graph_count(), 2u);
-
-  // A third and fourth graph evict nothing yet (capacity 4); a fifth
-  // evicts the least recently used.
-  for (int extra = 0; extra < 3; ++extra) {
-    Graph g = gen::cycle(14 + 2 * extra);
-    const Proof p = *scheme.prove(g);
-    (void)cached.run(g, p, scheme.verifier());
+  for (std::thread& caller : callers) caller.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
   }
-  EXPECT_EQ(cached.cached_graph_count(), 4u);
-}
-
-TEST(DirectEngineCache, CapFallsBackToUncached) {
-  // A complete graph at radius 1 has n-node balls; with a tiny cap the
-  // engine must abandon the cache and still be correct.
-  const schemes::BipartiteScheme scheme;
-  const Graph g = gen::complete_bipartite(6, 6);
-  const Proof p = *scheme.prove(g);
-  DirectEngine tiny({/*cache_views=*/true, /*max_cached_ball_nodes=*/8});
-  DirectEngine fresh({/*cache_views=*/false});
-  for (int round = 0; round < 2; ++round) {
-    expect_equal(fresh.run(g, p, scheme.verifier()),
-                 tiny.run(g, p, scheme.verifier()), "direct-tiny-cache",
-                 "cap-round-" + std::to_string(round));
-  }
-}
-
-TEST(DirectEngineCache, MigratesAcrossFingerprintsWithTracker) {
-  // With a tracker attached, a graph mutation must not drop the warm
-  // cache: the dirty log is replayed over the cached views and the entry
-  // is rekeyed to the new fingerprint.
-  const schemes::LeaderElectionScheme scheme;
-  Graph g = gen::random_connected(30, 0.12, 29);
-  g.set_label(4, schemes::kLeaderFlag);
-  Proof p = *scheme.prove(g);
-  DeltaTracker tracker(g, p, scheme.verifier().radius());
-
-  DirectEngine cached;
-  DirectEngine fresh({/*cache_views=*/false});
-  ASSERT_TRUE(cached.attach_tracker(&tracker));
-  expect_equal(fresh.run(g, p, scheme.verifier()),
-               cached.run(g, p, scheme.verifier()), "direct-migrate",
-               "warm-up");
-  EXPECT_EQ(cached.stats().migrations, 0u);
-
-  // Structural + label churn: every round must migrate, not rebuild.
-  std::uint64_t expected_migrations = 0;
-  for (int round = 0; round < 4; ++round) {
-    MutationBatch batch;
-    const int e = g.m() - 1 - round;
-    batch.remove_edge(g.edge_u(e), g.edge_v(e));
-    batch.set_node_label(round, 7);
-    batch.set_proof_label(round, p.labels[static_cast<std::size_t>(
-                                     (round + 5) % g.n())]);
-    tracker.apply(batch);
-    expect_equal(fresh.run(g, p, scheme.verifier()),
-                 cached.run(g, p, scheme.verifier()), "direct-migrate",
-                 "round-" + std::to_string(round));
-    ++expected_migrations;
-    EXPECT_EQ(cached.stats().migrations, expected_migrations);
-    EXPECT_EQ(cached.cached_graph_count(), 1u);
-  }
-  // Some views survive each small mutation in place.
-  EXPECT_GT(cached.stats().migrated_views, 0u);
-
-  // Node growth migrates too: appended nodes are extracted fresh, the
-  // rest replay.
-  MutationBatch grow;
-  grow.add_node(777);
-  grow.add_edge(g.n(), 3);
-  tracker.apply(grow);
-  expect_equal(fresh.run(g, p, scheme.verifier()),
-               cached.run(g, p, scheme.verifier()), "direct-migrate",
-               "growth");
-  EXPECT_EQ(cached.stats().migrations, expected_migrations + 1);
-  EXPECT_GT(cached.stats().migration_reextractions, 0u);
-
-  // A proof-only batch is a plain cache hit (the graph fingerprint is
-  // unchanged), and the lineage keeps rolling forward for later batches.
-  MutationBatch proof_only;
-  proof_only.set_proof_label(2, p.labels[9]);
-  tracker.apply(proof_only);
-  expect_equal(fresh.run(g, p, scheme.verifier()),
-               cached.run(g, p, scheme.verifier()), "direct-migrate",
-               "proof-only");
-  EXPECT_EQ(cached.stats().migrations, expected_migrations + 1);
-  MutationBatch after;
-  after.remove_edge(g.edge_u(0), g.edge_v(0));
-  tracker.apply(after);
-  expect_equal(fresh.run(g, p, scheme.verifier()),
-               cached.run(g, p, scheme.verifier()), "direct-migrate",
-               "after-proof-only");
-  EXPECT_EQ(cached.stats().migrations, expected_migrations + 2);
-
-  cached.attach_tracker(nullptr);
-}
-
-TEST(DirectEngineCache, MigrationRefusesOutOfBandMutation) {
-  // A mutation bypassing the tracker must fall back to a full rebuild —
-  // and still be correct — because the dirty log no longer accounts for
-  // the divergence.
-  const schemes::BipartiteScheme scheme;
-  Graph g = gen::grid(4, 5);
-  Proof p = *scheme.prove(g);
-  DeltaTracker tracker(g, p, scheme.verifier().radius());
-  DirectEngine cached;
-  DirectEngine fresh({/*cache_views=*/false});
-  ASSERT_TRUE(cached.attach_tracker(&tracker));
-  (void)cached.run(g, p, scheme.verifier());
-
-  g.set_label(0, 42);  // out of band: tracker fingerprint now stale
-  expect_equal(fresh.run(g, p, scheme.verifier()),
-               cached.run(g, p, scheme.verifier()), "direct-migrate",
-               "out-of-band");
-  EXPECT_EQ(cached.stats().migrations, 0u);
-  cached.attach_tracker(nullptr);
 }
 
 TEST(EngineFactory, KnowsEveryBackend) {
@@ -303,6 +197,8 @@ TEST(EngineFactory, KnowsEveryBackend) {
     EXPECT_EQ(engine->name(), name);
     EXPECT_TRUE(engine->run(g, p, scheme.verifier()).all_accept) << name;
   }
+  EXPECT_EQ(SweepEngine(1).name(), "direct");
+  EXPECT_EQ(SweepEngine(4).name(), "parallel");
   EXPECT_THROW(make_engine("quantum"), std::invalid_argument);
 }
 

@@ -348,12 +348,16 @@ TEST(ForensicsFuzz, ReportsAcrossEngineBackends) {
   // The capture path is engine-agnostic: every backend that can drive a
   // session must produce a re-verifiable report on the same tamper.
   for (const EngineKind kind :
-       {EngineKind::kDirect, EngineKind::kParallel,
-        EngineKind::kIncremental, EngineKind::kSharded}) {
+       {EngineKind::kDirect, EngineKind::kMessagePassing,
+        EngineKind::kParallel, EngineKind::kIncremental,
+        EngineKind::kSharded, EngineKind::kSpotCheck}) {
     Graph start = leader_start(14, 9001);
     auto session = VerificationSession::on(std::move(start))
                        .scheme("leader-election")
                        .engine(kind)
+                       // Spot-check every dirty ball, so the tamper is
+                       // sampled and escalates to an exact reject.
+                       .spotcheck_options({.budget = 1.0})
                        .maintain(true)
                        .journal(true)
                        .forensics(true)
@@ -378,11 +382,54 @@ TEST(ForensicsFuzz, ReportsAcrossEngineBackends) {
                  session.proof(), session.scheme().verifier(), result,
                  report.mutation_batch.size() + report.repair_batch.size(),
                  static_cast<int>(kind));
-    // The engines diff verdicts at the wrapper level, so the flip set is
-    // known on every backend and the tampered centre is in it.
+    // The session diffs successive verdicts itself, so the flip set is
+    // known on every backend.  The previous verdict accepted, so every
+    // rejecting centre flipped.
+    EXPECT_TRUE(result.flips_known) << "engine " << static_cast<int>(kind);
     EXPECT_FALSE(report.newly_rejecting.empty())
         << "engine " << static_cast<int>(kind);
+    EXPECT_EQ(report.newly_rejecting, result.rejecting)
+        << "engine " << static_cast<int>(kind);
+    EXPECT_TRUE(result.newly_accepting.empty())
+        << "engine " << static_cast<int>(kind);
   }
+}
+
+TEST(Forensics, SessionDiffsSuccessiveVerdicts) {
+  // Flip attribution lives in the session, not the engine: the first
+  // verdict has nothing to diff against, and later ones report exactly
+  // the centres that flipped — here on the stateless direct backend.
+  Graph start = leader_start(12, 77);
+  auto session = VerificationSession::on(std::move(start))
+                     .scheme("leader-election")
+                     .engine(EngineKind::kDirect)
+                     .maintain(true)
+                     .build();
+  const RunResult first = session.verify();
+  EXPECT_TRUE(first.all_accept);
+  EXPECT_FALSE(first.flips_known);
+
+  MutationBatch tamper;
+  tamper.set_node_label(0, 0);  // no leader anywhere
+  const RunResult broken = session.apply(tamper);
+  ASSERT_FALSE(broken.all_accept);
+  EXPECT_TRUE(broken.flips_known);
+  EXPECT_EQ(broken.newly_rejecting, broken.rejecting);
+  EXPECT_TRUE(broken.newly_accepting.empty());
+
+  const RunResult again = session.verify();  // unchanged: nothing flips
+  EXPECT_TRUE(again.flips_known);
+  EXPECT_EQ(again.rejecting, broken.rejecting);
+  EXPECT_TRUE(again.newly_rejecting.empty());
+  EXPECT_TRUE(again.newly_accepting.empty());
+
+  MutationBatch heal;
+  heal.set_node_label(0, schemes::kLeaderFlag);
+  const RunResult healed = session.apply(heal);
+  ASSERT_TRUE(healed.all_accept);
+  EXPECT_TRUE(healed.flips_known);
+  EXPECT_TRUE(healed.newly_rejecting.empty());
+  EXPECT_EQ(healed.newly_accepting, broken.rejecting);
 }
 
 TEST(Forensics, ShrinkIsolatesTheTamperFromInnocentChurn) {

@@ -2,7 +2,7 @@
 // 100+ random deltas (proof flips, node/edge relabels, edge insertions
 // and removals, including churn right at ball boundaries), asserting after
 // EVERY batch that IncrementalEngine's RunResult is bit-identical to a
-// fresh uncached DirectEngine sweep of the mutated state.
+// fresh sweep_sequential of the mutated state.
 //
 // The FourWay* tests run the same stream through the full configuration
 // matrix — {view patching, re-extraction} x {pool-sharded, serial
@@ -108,9 +108,8 @@ void fuzz_scheme(const Scheme& scheme, Graph g, std::uint32_t seed,
   DeltaTracker tracker(g, p, radius);
   IncrementalEngine engine;
   ASSERT_TRUE(engine.attach_tracker(&tracker));
-  DirectEngine fresh({/*cache_views=*/false});
 
-  expect_equal(fresh.run(g, p, scheme.verifier()),
+  expect_equal(sweep_sequential(g, p, scheme.verifier()),
                engine.run(g, p, scheme.verifier()),
                scheme.name() + "/initial");
 
@@ -126,7 +125,7 @@ void fuzz_scheme(const Scheme& scheme, Graph g, std::uint32_t seed,
       if (push_random_op(batch, g, rng)) tracker.apply(batch);
     }
     expect_equal(
-        fresh.run(g, p, scheme.verifier()),
+        sweep_sequential(g, p, scheme.verifier()),
         engine.run(g, p, scheme.verifier()),
         scheme.name() + "/round-" + std::to_string(round));
   }
@@ -202,7 +201,7 @@ std::unique_ptr<MatrixLane> make_lane(const std::string& name, const Graph& g,
 
 /// Replays one batch stream through all four {patch} x {shard} lanes plus a
 /// per-batch random-toggle lane, checking bit-identical verdicts and
-/// fingerprints against a fresh DirectEngine sweep after every batch.
+/// fingerprints against a fresh sweep_sequential after every batch.
 /// `make_batch(it, g, &batch)` sees lane 0's graph; every lane applies the
 /// identical batch, so the replicas evolve in lockstep.
 template <typename MakeBatch>
@@ -231,8 +230,6 @@ void fuzz_matrix(const Scheme& scheme, const Graph& start, std::uint32_t seed,
                              .shard_min_centers = 0}));
   lanes.push_back(make_lane("random-toggle", start, p0, radius,
                             {.shard_min_centers = 0}));
-
-  DirectEngine fresh({/*cache_views=*/false});
   std::mt19937 toggle_rng(seed * 7 + 1);
   for (int it = 0; it < batches; ++it) {
     MutationBatch batch;
@@ -244,7 +241,7 @@ void fuzz_matrix(const Scheme& scheme, const Graph& start, std::uint32_t seed,
 
     const RunResult want = [&] {
       lanes[0]->tracker->apply(batch);
-      return fresh.run(lanes[0]->graph, lanes[0]->proof, scheme.verifier());
+      return sweep_sequential(lanes[0]->graph, lanes[0]->proof, scheme.verifier());
     }();
     const std::uint64_t want_graph_fp = graph_fingerprint(lanes[0]->graph);
     const std::uint64_t want_state_fp =

@@ -3,7 +3,7 @@
 //
 //   - conjunction(A, B).holds == A.holds && B.holds, the composed prover
 //     is accepted iff both components hold, and the composed verdict is
-//     bit-identical across DirectEngine and IncrementalEngine on a
+//     bit-identical across sweep_sequential and IncrementalEngine on a
 //     randomized corpus drawn over the registered schemes;
 //   - tampered concatenated proofs are rejected by at least one node;
 //   - radius_pad verdicts are bit-identical to the base scheme, honest
@@ -211,7 +211,6 @@ TEST(SchemeCompose, ConjunctionMatchesComponentAndAcrossEngines) {
   SchemeRegistry& reg = builtin_registry();
   const std::vector<std::string> names = reg.names();
   std::mt19937 rng(20260730);
-  DirectEngine direct({/*cache_views=*/false});
 
   int yes_instances = 0;
   for (int round = 0; round < 14; ++round) {
@@ -237,11 +236,11 @@ TEST(SchemeCompose, ConjunctionMatchesComponentAndAcrossEngines) {
         ++yes_instances;
         ASSERT_TRUE(proof.has_value()) << context;
         // Verdict == AND of the component verdicts on their own proofs.
-        ASSERT_TRUE(scheme_accepts_own_proof(*lhs, g, direct)) << context;
-        ASSERT_TRUE(scheme_accepts_own_proof(*rhs, g, direct)) << context;
+        ASSERT_TRUE(scheme_accepts_own_proof(*lhs, g)) << context;
+        ASSERT_TRUE(scheme_accepts_own_proof(*rhs, g)) << context;
       }
       const Proof p = proof.value_or(Proof::empty(g.n()));
-      const RunResult want = direct.run(g, p, conj->verifier());
+      const RunResult want = sweep_sequential(g, p, conj->verifier());
       ASSERT_EQ(want.all_accept, expected) << context;
 
       IncrementalEngine incremental;
@@ -255,19 +254,17 @@ TEST(SchemeCompose, ConjunctionMatchesComponentAndAcrossEngines) {
 TEST(SchemeCompose, TripleConjunctionStaysFirstClass) {
   SchemeRegistry& reg = builtin_registry();
   const auto conj = reg.build("bipartite & acyclic & even-n");
-  DirectEngine direct({/*cache_views=*/false});
   for (std::uint32_t seed = 1; seed <= 4; ++seed) {
     const Graph g = gen::random_tree(11 + static_cast<int>(seed), seed);
     const bool expected = conj->holds(g);
     const auto proof = conj->prove(g);
     const Proof p = proof.value_or(Proof::empty(g.n()));
-    EXPECT_EQ(direct.run(g, p, conj->verifier()).all_accept, expected);
+    EXPECT_EQ(sweep_sequential(g, p, conj->verifier()).all_accept, expected);
   }
 }
 
 TEST(SchemeCompose, TamperedConjunctionProofsAreRejected) {
   SchemeRegistry& reg = builtin_registry();
-  DirectEngine direct({/*cache_views=*/false});
   std::mt19937 rng(99);
   for (const char* expr :
        {"bipartite & acyclic", "leader-election & maximal-matching"}) {
@@ -283,13 +280,13 @@ TEST(SchemeCompose, TamperedConjunctionProofsAreRejected) {
     ASSERT_TRUE(conj->holds(g)) << expr;
     const auto proof = conj->prove(g);
     ASSERT_TRUE(proof.has_value()) << expr;
-    ASSERT_TRUE(direct.run(g, *proof, conj->verifier()).all_accept) << expr;
+    ASSERT_TRUE(sweep_sequential(g, *proof, conj->verifier()).all_accept) << expr;
 
     for (int v = 0; v < g.n(); ++v) {
       // Breaking the offset-table framing at any node must be caught.
       Proof longer = *proof;
       longer.labels[static_cast<std::size_t>(v)].append_bit(rng() % 2 == 1);
-      EXPECT_FALSE(direct.run(g, longer, conj->verifier()).all_accept)
+      EXPECT_FALSE(sweep_sequential(g, longer, conj->verifier()).all_accept)
           << expr << " node " << v << " appended bit";
 
       const BitString& orig = proof->labels[static_cast<std::size_t>(v)];
@@ -298,7 +295,7 @@ TEST(SchemeCompose, TamperedConjunctionProofsAreRejected) {
       BitString cut;
       for (int i = 0; i + 1 < orig.size(); ++i) cut.append_bit(orig.bit(i));
       shorter.labels[static_cast<std::size_t>(v)] = cut;
-      EXPECT_FALSE(direct.run(g, shorter, conj->verifier()).all_accept)
+      EXPECT_FALSE(sweep_sequential(g, shorter, conj->verifier()).all_accept)
           << expr << " node " << v << " truncated";
     }
   }
@@ -308,7 +305,6 @@ TEST(SchemeCompose, TamperedConjunctionProofsAreRejected) {
 
 TEST(SchemeCompose, RadiusPadVerdictsBitIdenticalToBase) {
   SchemeRegistry& reg = builtin_registry();
-  DirectEngine direct({/*cache_views=*/false});
   std::mt19937 rng(1234);
   for (const char* name : {"bipartite", "acyclic", "leader-election"}) {
     const auto base = reg.make(name);
@@ -320,13 +316,13 @@ TEST(SchemeCompose, RadiusPadVerdictsBitIdenticalToBase) {
       for (const Graph& g : corpus(11)) {
         const Proof honest =
             base->prove(g).value_or(Proof::empty(g.n()));
-        expect_equal(direct.run(g, honest, base->verifier()),
-                     direct.run(g, honest, padded->verifier()),
+        expect_equal(sweep_sequential(g, honest, base->verifier()),
+                     sweep_sequential(g, honest, padded->verifier()),
                      std::string(name) + "@r=" + std::to_string(pad));
         for (const Proof& tampered : tampered_variants(honest, 6, rng())) {
           expect_equal(
-              direct.run(g, tampered, base->verifier()),
-              direct.run(g, tampered, padded->verifier()),
+              sweep_sequential(g, tampered, base->verifier()),
+              sweep_sequential(g, tampered, padded->verifier()),
               std::string(name) + "@r=" + std::to_string(pad) + "/tampered");
         }
       }
@@ -342,7 +338,6 @@ TEST(SchemeCompose, RelabelMatchesDirectRelabelling) {
   const auto adapted = relabel(*base, [](std::uint64_t label) {
     return label == 7 ? schemes::kLeaderFlag : 0;
   });
-  DirectEngine direct({/*cache_views=*/false});
   for (std::uint32_t seed = 1; seed <= 4; ++seed) {
     Graph g = gen::random_connected(14, 0.15, seed);
     g.set_label(3, 7);
@@ -352,9 +347,9 @@ TEST(SchemeCompose, RelabelMatchesDirectRelabelling) {
     ASSERT_EQ(adapted->holds(g), base->holds(mapped));
     const Proof p = adapted->prove(g).value_or(Proof::empty(g.n()));
     const Proof q = base->prove(mapped).value_or(Proof::empty(g.n()));
-    expect_equal(direct.run(mapped, q, base->verifier()),
-                 direct.run(g, p, adapted->verifier()), "relabel");
-    EXPECT_TRUE(direct.run(g, p, adapted->verifier()).all_accept);
+    expect_equal(sweep_sequential(mapped, q, base->verifier()),
+                 sweep_sequential(g, p, adapted->verifier()), "relabel");
+    EXPECT_TRUE(sweep_sequential(g, p, adapted->verifier()).all_accept);
   }
 }
 
@@ -406,8 +401,6 @@ TEST(SchemeCompose, ConjunctionSessionTracksComponentAndUnderChurn) {
                      .build();
   ASSERT_TRUE(session.maintainer_bound());
   ASSERT_TRUE(session.verify().all_accept);
-
-  DirectEngine fresh({/*cache_views=*/false});
   std::mt19937 rng(4242);
   for (int step = 0; step < 120; ++step) {
     const Graph& g = session.graph();
@@ -445,7 +438,7 @@ TEST(SchemeCompose, ConjunctionSessionTracksComponentAndUnderChurn) {
 
     const RunResult got = session.apply(batch);
     const RunResult want =
-        fresh.run(session.graph(), session.proof(),
+        sweep_sequential(session.graph(), session.proof(),
                   session.scheme().verifier());
     ASSERT_EQ(got.all_accept, want.all_accept) << "step " << step;
     ASSERT_EQ(got.rejecting, want.rejecting) << "step " << step;

@@ -3,12 +3,12 @@
 // The load-bearing property is bit-identity: on every (graph, proof,
 // scheme) triple — honest, tampered, empty, composed — the sharded engine
 // must produce the same verdict and the same ascending rejecting set as
-// DirectEngine, for every shard count (including non-powers-of-two and
+// sweep_sequential, for every shard count (including non-powers-of-two and
 // k > n), every partitioner (including a deliberately boundary-heavy one),
 // and both the content path and the tracker path.  On top of identity, the
 // isolation claims: an interior-only batch wakes exactly one lane and
 // moves no halo traffic; boundary churn triggers halo rebuilds and still
-// matches DirectEngine on the final state.
+// matches sweep_sequential on the final state.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -86,7 +86,6 @@ std::vector<ProofCase> proof_cases(const Scheme& scheme, const Graph& g) {
 void check_scheme_everywhere(const Scheme& scheme,
                              const std::vector<ShardedEngineOptions>& configs,
                              const std::vector<std::string>& config_names) {
-  DirectEngine reference({/*cache_views=*/false});
   std::vector<std::unique_ptr<ShardedEngine>> engines;
   for (const ShardedEngineOptions& options : configs) {
     engines.push_back(std::make_unique<ShardedEngine>(options));
@@ -98,7 +97,7 @@ void check_scheme_everywhere(const Scheme& scheme,
     }
     for (const ProofCase& pc : proof_cases(scheme, graph)) {
       const RunResult expected =
-          reference.run(graph, pc.proof, scheme.verifier());
+          sweep_sequential(graph, pc.proof, scheme.verifier());
       for (std::size_t i = 0; i < engines.size(); ++i) {
         const std::string label = scheme.name() + "/" + glabel + "/" +
                                   pc.label + "/" + config_names[i];
@@ -202,7 +201,6 @@ TEST(ShardedTracker, InteriorChurnWakesOneShard) {
   options.shards = 4;
   ShardedEngine engine(options);
   engine.attach_tracker(&tracker);
-  DirectEngine reference({/*cache_views=*/false});
 
   ASSERT_TRUE(engine.run(g, p, scheme->verifier()).all_accept);
   const std::uint64_t records_before = engine.transport().stats().records;
@@ -217,7 +215,7 @@ TEST(ShardedTracker, InteriorChurnWakesOneShard) {
 
   const auto& stats = engine.stats();
   const std::uint64_t woken_before = stats.shards_woken;
-  expect_equal(reference.run(g, p, scheme->verifier()),
+  expect_equal(sweep_sequential(g, p, scheme->verifier()),
                engine.run(g, p, scheme->verifier()), "interior-churn");
   EXPECT_EQ(stats.shards_woken - woken_before, 1u);
   EXPECT_EQ(stats.halo_rebuilds, 0u);
@@ -236,7 +234,6 @@ TEST(ShardedTracker, BoundaryChurnRebuildsHalosAndMatches) {
   options.shards = 4;
   ShardedEngine engine(options);
   engine.attach_tracker(&tracker);
-  DirectEngine reference({/*cache_views=*/false});
 
   ASSERT_TRUE(engine.run(g, p, scheme->verifier()).all_accept);
 
@@ -245,14 +242,14 @@ TEST(ShardedTracker, BoundaryChurnRebuildsHalosAndMatches) {
   MutationBatch batch;
   batch.add_edge(8, 12);
   tracker.apply(batch);
-  expect_equal(reference.run(g, p, scheme->verifier()),
+  expect_equal(sweep_sequential(g, p, scheme->verifier()),
                engine.run(g, p, scheme->verifier()), "boundary-add");
   EXPECT_GE(engine.stats().halo_rebuilds, 1u);
 
   MutationBatch undo;
   undo.remove_edge(8, 12);
   tracker.apply(undo);
-  expect_equal(reference.run(g, p, scheme->verifier()),
+  expect_equal(sweep_sequential(g, p, scheme->verifier()),
                engine.run(g, p, scheme->verifier()), "boundary-remove");
 }
 
@@ -269,7 +266,6 @@ TEST(ShardedTracker, NodeGrowthAcrossShards) {
   options.shards = 3;
   ShardedEngine engine(options);
   engine.attach_tracker(&tracker);
-  DirectEngine reference({/*cache_views=*/false});
 
   (void)engine.run(g, p, scheme->verifier());
   for (int round = 0; round < 4; ++round) {
@@ -277,7 +273,7 @@ TEST(ShardedTracker, NodeGrowthAcrossShards) {
     batch.add_node(1000 + round);
     batch.add_edge(g.n(), 2 * round);  // attach the new node
     tracker.apply(batch);
-    expect_equal(reference.run(g, p, scheme->verifier()),
+    expect_equal(sweep_sequential(g, p, scheme->verifier()),
                  engine.run(g, p, scheme->verifier()),
                  "growth-round-" + std::to_string(round));
   }
@@ -285,7 +281,7 @@ TEST(ShardedTracker, NodeGrowthAcrossShards) {
 
 TEST(ShardedTracker, FuzzAgainstDirect) {
   // Random structural + proof churn through a tracker, every round
-  // cross-checked against a fresh DirectEngine on the final state.  Both a
+  // cross-checked against sweep_sequential on the final state.  Both a
   // contiguous and a boundary-heavy partition run the same trace.
   const auto scheme = builtin_registry().build("bipartite");
   const int radius = scheme->verifier().radius();
@@ -305,8 +301,6 @@ TEST(ShardedTracker, FuzzAgainstDirect) {
   striped_options.partitioner = std::make_shared<StripedPartitioner>();
   ShardedEngine striped_engine(striped_options);
   striped_engine.attach_tracker(&tracker);
-
-  DirectEngine reference({/*cache_views=*/false});
   std::mt19937 rng(1234);
 
   (void)range_engine.run(g, p, scheme->verifier());
@@ -345,7 +339,7 @@ TEST(ShardedTracker, FuzzAgainstDirect) {
     }
     if (batch.empty()) continue;
     tracker.apply(batch);
-    const RunResult expected = reference.run(g, p, scheme->verifier());
+    const RunResult expected = sweep_sequential(g, p, scheme->verifier());
     expect_equal(expected, range_engine.run(g, p, scheme->verifier()),
                  "fuzz-range-" + std::to_string(round));
     expect_equal(expected, striped_engine.run(g, p, scheme->verifier()),
@@ -411,8 +405,7 @@ TEST(ShardedSession, ConjunctionSchemeThroughSession) {
   MutationBatch batch;
   batch.add_edge(0, 12);  // chord: still bipartite (even cycle halves)
   const RunResult after = session.apply(batch);
-  DirectEngine reference({/*cache_views=*/false});
-  expect_equal(reference.run(session.graph(), session.proof(),
+  expect_equal(sweep_sequential(session.graph(), session.proof(),
                              session.scheme().verifier()),
                after, "session-conjunction");
 }
@@ -426,9 +419,8 @@ TEST(ShardedEngine, OverflowFallsBackToPlainSweeps) {
   options.shards = 3;
   options.max_cached_ball_nodes = 8;
   ShardedEngine tiny(options);
-  DirectEngine reference({/*cache_views=*/false});
   for (int round = 0; round < 3; ++round) {
-    expect_equal(reference.run(g, p, scheme->verifier()),
+    expect_equal(sweep_sequential(g, p, scheme->verifier()),
                  tiny.run(g, p, scheme->verifier()),
                  "overflow-round-" + std::to_string(round));
   }
