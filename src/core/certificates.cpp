@@ -152,15 +152,6 @@ bool check_tree_cert_at_center(
   return expected == mine.subtree;
 }
 
-std::vector<std::optional<TreeCert>> read_ball_tree_certs(
-    const View& view, std::vector<BitReader>& readers) {
-  std::vector<std::optional<TreeCert>> certs;
-  certs.reserve(readers.size());
-  for (BitReader& r : readers) certs.push_back(read_tree_cert(r));
-  (void)view;
-  return certs;
-}
-
 int tree_cert_bits(int n, NodeId max_id) {
   const int width = std::max(bit_width_for(max_id),
                              bit_width_for(static_cast<std::uint64_t>(n)));

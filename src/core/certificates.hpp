@@ -75,12 +75,6 @@ bool check_tree_cert_at_center(const View& view,
                                const std::vector<std::optional<TreeCert>>& certs,
                                int trunc_bits, bool check_root_id = true);
 
-/// Helper: decode a tree certificate from the *start* of each ball label.
-/// Readers are left positioned after the certificate so schemes can append
-/// their own fields; readers that fail yield nullopt entries.
-std::vector<std::optional<TreeCert>> read_ball_tree_certs(
-    const View& view, std::vector<BitReader>& readers);
-
 /// Is the centre the certified root (dist field == 0)?
 bool cert_says_root(const TreeCert& cert);
 

@@ -108,9 +108,8 @@ std::vector<Proof> tampered_variants(const Proof& proof, int limit,
     cleared.labels[static_cast<std::size_t>(v)] = BitString{};
     push(std::move(cleared));
     Proof truncated = proof;
-    BitString half;
-    for (int j = 0; j < label.size() / 2; ++j) half.append_bit(label.bit(j));
-    truncated.labels[static_cast<std::size_t>(v)] = std::move(half);
+    truncated.labels[static_cast<std::size_t>(v)] =
+        BitReader(label).read_bits(label.size() / 2);
     push(std::move(truncated));
   }
   // Random pairwise label swaps.

@@ -286,11 +286,8 @@ bool ConjunctionScheme::decode_label(const BitString& label, int arity,
     }
   }
   for (int j = 0; j < arity; ++j) {
-    BitString s;
-    for (std::uint64_t b = 0; b < lens[static_cast<std::size_t>(j)]; ++b) {
-      s.append_bit(r.read_bit());
-    }
-    (*slices)[static_cast<std::size_t>(j)] = std::move(s);
+    (*slices)[static_cast<std::size_t>(j)] =
+        r.read_bits(static_cast<int>(lens[static_cast<std::size_t>(j)]));
   }
   return r.exhausted();
 }

@@ -19,9 +19,7 @@ std::optional<TreeLabel> read_tree_label(const BitString& label) {
   if (label.size() < kPositionBits) return std::nullopt;
   TreeLabel out;
   BitReader r(label);
-  for (int i = 0; i < label.size() - kPositionBits; ++i) {
-    out.structure.append_bit(r.read_bit());
-  }
+  out.structure = r.read_bits(label.size() - kPositionBits);
   out.position = static_cast<int>(r.read_uint(kPositionBits));
   return out;
 }

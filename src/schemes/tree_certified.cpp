@@ -7,14 +7,18 @@ namespace lcp::schemes {
 
 namespace {
 
-/// Decodes tree certificates for every ball node.
+/// Decodes the tree certificates of the centre and its neighbours, the only
+/// ones check_tree_cert_at_center and these schemes' own checks read; the
+/// entries of the distance-2 nodes stay nullopt.  Radius 2 is still needed:
+/// a neighbour's parent port is a rank in *its* adjacency list.
 std::vector<std::optional<TreeCert>> decode_ball_certs(const View& view) {
-  std::vector<std::optional<TreeCert>> certs;
-  certs.reserve(view.proofs.size());
-  for (const BitString& label : view.proofs) {
-    BitReader r(label);
-    certs.push_back(read_tree_cert(r));
-  }
+  std::vector<std::optional<TreeCert>> certs(view.proofs.size());
+  auto decode = [&](int u) {
+    BitReader r(view.proof_of(u));
+    certs[static_cast<std::size_t>(u)] = read_tree_cert(r);
+  };
+  decode(view.center);
+  for (const HalfEdge& h : view.ball.neighbors(view.center)) decode(h.to);
   return certs;
 }
 

@@ -50,10 +50,7 @@ std::optional<Decoded> decode_label(const BitString& label) {
     }
   }
   // Reconstruct the common part for neighbour-agreement comparison.
-  BitReader c(label);
-  for (int i = 0; i < label.size() - kCountBits; ++i) {
-    d.common.append_bit(c.read_bit());
-  }
+  d.common = BitReader(label).read_bits(label.size() - kCountBits);
   return d;
 }
 
@@ -215,9 +212,7 @@ std::optional<Proof> UniversalScheme::prove(const Graph& g) const {
   for (int v = 0; v < g.n(); ++v) {
     BitString label = full_label(g, v);
     if (trunc_bits_ > 0 && label.size() > trunc_bits_) {
-      BitString cut;
-      for (int i = 0; i < trunc_bits_; ++i) cut.append_bit(label.bit(i));
-      label = std::move(cut);
+      label = BitReader(label).read_bits(trunc_bits_);
     }
     proof.labels[static_cast<std::size_t>(v)] = std::move(label);
   }

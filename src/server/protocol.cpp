@@ -71,19 +71,16 @@ void WireWriter::str(const std::string& s) {
 }
 
 void WireWriter::bits(const BitString& b) {
+  // Bit i goes to byte i / 8 at bit 7 - i % 8 (MSB-first), the last byte
+  // zero-padded: exactly BitReader's 8-bit MSB-first fields.
   u32(static_cast<std::uint32_t>(b.size()));
-  std::uint8_t byte = 0;
-  int filled = 0;
-  for (int i = 0; i < b.size(); ++i) {
-    byte = static_cast<std::uint8_t>((byte << 1) | (b.bit(i) ? 1 : 0));
-    if (++filled == 8) {
-      out_->push_back(byte);
-      byte = 0;
-      filled = 0;
-    }
+  BitReader r(b);
+  while (r.remaining() >= 8) {
+    out_->push_back(static_cast<std::uint8_t>(r.read_uint(8)));
   }
-  if (filled > 0) {
-    out_->push_back(static_cast<std::uint8_t>(byte << (8 - filled)));
+  const int tail = r.remaining();
+  if (tail > 0) {
+    out_->push_back(static_cast<std::uint8_t>(r.read_uint(tail) << (8 - tail)));
   }
 }
 
@@ -173,9 +170,11 @@ BitString WireReader::bits() {
   const std::size_t nbytes = (static_cast<std::size_t>(nbits) + 7) / 8;
   BitString b;
   if (!take(nbytes)) return b;
-  for (std::uint32_t i = 0; i < nbits; ++i) {
-    const std::uint8_t byte = data_[pos_ + i / 8];
-    b.append_bit(((byte >> (7 - (i % 8))) & 1) != 0);
+  const std::uint8_t* byte = data_ + pos_;
+  for (std::uint32_t left = nbits; left > 0; ++byte) {
+    const int width = left < 8 ? static_cast<int>(left) : 8;
+    b.append_uint(static_cast<std::uint64_t>(*byte >> (8 - width)), width);
+    left -= static_cast<std::uint32_t>(width);
   }
   pos_ += nbytes;
   return b;

@@ -4,7 +4,11 @@
 // adversarial soundness probes.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+
 #include "algo/traversal.hpp"
+#include "core/certificates.hpp"
 #include "core/checker.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
@@ -360,6 +364,164 @@ TEST(MaxMatchingCycle, SubOptimalMatchingRejected) {
   }
   padded.labels[7] = honest->labels[5];
   EXPECT_TRUE(rejected(g, padded, scheme.verifier()));
+}
+
+// ------------------------------------------------------------ decode scope --
+//
+// The tree-certified verifiers decode only the certificates of the centre
+// and its neighbours.  Each reference below decodes every ball member and
+// then applies the same checks, as the verifiers did before; on every view
+// of honest and tampered proofs the verdicts must agree.
+
+std::vector<std::optional<TreeCert>> decode_every_member(const View& v) {
+  std::vector<std::optional<TreeCert>> certs;
+  for (const BitString& label : v.proofs) {
+    BitReader r(label);
+    certs.push_back(read_tree_cert(r));
+  }
+  return certs;
+}
+
+bool reference_leader(const View& v, int trunc_bits) {
+  const auto certs = decode_every_member(v);
+  if (!check_tree_cert_at_center(v, certs, trunc_bits)) return false;
+  return cert_says_root(*certs[static_cast<std::size_t>(v.center)]) ==
+         (v.ball.label(v.center) == kLeaderFlag);
+}
+
+bool reference_spanning_tree(const View& v, int trunc_bits) {
+  const auto certs = decode_every_member(v);
+  if (!check_tree_cert_at_center(v, certs, trunc_bits)) return false;
+  const Graph& ball = v.ball;
+  const int c = v.center;
+  const TreeCert& mine = *certs[static_cast<std::size_t>(c)];
+  for (const HalfEdge& h : ball.neighbors(c)) {
+    const TreeCert& other = *certs[static_cast<std::size_t>(h.to)];
+    const bool is_parent_edge =
+        !cert_says_root(mine) &&
+        ball.neighbor_at_port(c, mine.parent_port) == h.to;
+    const bool is_child_edge =
+        !cert_says_root(other) && other.parent_port >= 0 &&
+        other.parent_port < ball.degree(h.to) &&
+        ball.neighbor_at_port(h.to, other.parent_port) == c;
+    const bool labelled =
+        (ball.edge_label(h.edge) & SpanningTreeScheme::kTreeEdgeBit) != 0;
+    if (labelled != (is_parent_edge || is_child_edge)) return false;
+  }
+  return true;
+}
+
+bool reference_parity(const View& v, int trunc_bits, bool want_odd) {
+  const auto certs = decode_every_member(v);
+  if (!check_tree_cert_at_center(v, certs, trunc_bits)) return false;
+  const TreeCert& mine = *certs[static_cast<std::size_t>(v.center)];
+  return !cert_says_root(mine) || (mine.total % 2 == 1) == want_odd;
+}
+
+struct ScopeCase {
+  std::shared_ptr<Scheme> scheme;
+  std::function<bool(const View&)> reference;
+};
+
+std::vector<ScopeCase> scope_cases() {
+  std::vector<ScopeCase> cases;
+  for (int b : {0, 4}) {
+    cases.push_back({std::make_shared<LeaderElectionScheme>(b),
+                     [b](const View& v) { return reference_leader(v, b); }});
+    cases.push_back(
+        {std::make_shared<SpanningTreeScheme>(b),
+         [b](const View& v) { return reference_spanning_tree(v, b); }});
+    for (bool odd : {false, true}) {
+      cases.push_back(
+          {std::make_shared<ParityScheme>(odd, b),
+           [b, odd](const View& v) { return reference_parity(v, b, odd); }});
+    }
+  }
+  return cases;
+}
+
+/// A random connected graph carrying a leader flag and a labelled BFS
+/// spanning tree, so every scheme in scope_cases() can prove it whenever
+/// its property holds.
+Graph scope_graph(std::uint32_t seed) {
+  Graph g = gen::random_connected(18 + static_cast<int>(seed % 7), 0.2, seed);
+  g.set_label(static_cast<int>(seed) % g.n(), kLeaderFlag);
+  const RootedTree tree = bfs_tree(g, 0);
+  for (int v = 1; v < g.n(); ++v) {
+    g.set_edge_label(g.edge_index(v, tree.parent[static_cast<std::size_t>(v)]),
+                     SpanningTreeScheme::kTreeEdgeBit);
+  }
+  return g;
+}
+
+int host_index(const Graph& g, NodeId id) {
+  for (int v = 0; v < g.n(); ++v) {
+    if (g.id(v) == id) return v;
+  }
+  return -1;
+}
+
+/// Every view of (g, p) gets the same verdict from the scheme and from the
+/// decode-everything reference; returns the verdict at `center`.
+bool verdicts_agree_everywhere(const Graph& g, const Proof& p,
+                               const ScopeCase& sc, int center) {
+  bool at_center = false;
+  for (int v = 0; v < g.n(); ++v) {
+    const View view = extract_view(g, p, v, 2);
+    const bool got = sc.scheme->verifier().accept(view);
+    EXPECT_EQ(got, sc.reference(view))
+        << sc.scheme->name() << " at node " << v;
+    if (v == center) at_center = got;
+  }
+  return at_center;
+}
+
+TEST(DecodeScope, MatchesDecodeEverythingReference) {
+  std::mt19937_64 rng(4242);
+  int far_tampers = 0;
+  int near_tampers = 0;
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    const Graph g = scope_graph(seed);
+    for (const ScopeCase& sc : scope_cases()) {
+      const auto honest = sc.scheme->prove(g);
+      if (!honest.has_value()) continue;  // parity of the other side
+      EXPECT_TRUE(verdicts_agree_everywhere(g, *honest, sc, 0));
+      for (int round = 0; round < 6; ++round) {
+        const int center =
+            static_cast<int>(rng() % static_cast<unsigned>(g.n()));
+        const View view = extract_view(g, *honest, center, 2);
+        for (int i = 0; i < view.ball.n(); ++i) {
+          const int host = host_index(g, view.ball.id(i));
+          const BitString& label =
+              honest->labels[static_cast<std::size_t>(host)];
+          Proof truncated = *honest;
+          truncated.labels[static_cast<std::size_t>(host)] =
+              BitReader(label).read_bits(static_cast<int>(
+                  rng() % static_cast<unsigned>(label.size())));
+          Proof garbage = *honest;
+          BitString noise;
+          const int noise_bits = static_cast<int>(rng() % 120);
+          for (int k = 0; k < noise_bits; k += 40) {
+            noise.append_uint(rng(), std::min(40, noise_bits - k));
+          }
+          garbage.labels[static_cast<std::size_t>(host)] = noise;
+          const bool t = verdicts_agree_everywhere(g, truncated, sc, center);
+          const bool n = verdicts_agree_everywhere(g, garbage, sc, center);
+          if (view.dist_of(i) == 2) {
+            // Never decoded by the centre: both tampers go unnoticed there.
+            EXPECT_TRUE(t) << sc.scheme->name();
+            EXPECT_TRUE(n) << sc.scheme->name();
+            ++far_tampers;
+          } else {
+            EXPECT_FALSE(t) << sc.scheme->name();  // truncation never parses
+            ++near_tampers;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(far_tampers, 100);
+  EXPECT_GT(near_tampers, 100);
 }
 
 }  // namespace
