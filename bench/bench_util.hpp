@@ -153,17 +153,19 @@ inline SizeSample measure(const Scheme& scheme, const Graph& g, double x,
   return s;
 }
 
-/// Rows printed with a verdict other than OK so far in this process.
+/// Rows (or harness checks) that came out other than OK so far in this
+/// process.
 inline int& failed_rows() {
   static int count = 0;
   return count;
 }
 
-/// The table harnesses' exit status: 0 when every row printed OK, else 1
-/// with the count on stderr, so a broken reproduction fails CI.
+/// The reproduction harnesses' exit status: 0 when every row or check
+/// came out OK, else 1 with the count on stderr, so a broken reproduction
+/// fails CI.
 inline int table_exit_status() {
   if (failed_rows() == 0) return 0;
-  std::fprintf(stderr, "%d row(s) not OK\n", failed_rows());
+  std::fprintf(stderr, "%d row(s) or check(s) not OK\n", failed_rows());
   return 1;
 }
 

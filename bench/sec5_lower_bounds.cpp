@@ -2,7 +2,8 @@
 // four problem families on cycles, sweeping the per-field proof budget b
 // and the cycle length n.  The attack succeeds exactly while 2^b < n
 // (colour collisions exist) and the honest schemes (b = 0) always resist:
-// the empirical Theta(log n) threshold.
+// the empirical Theta(log n) threshold.  Exits 1 if an honest scheme is
+// ever fooled (a "YES(!)" cell), so CI fails on a broken reproduction.
 #include <cstdio>
 #include <vector>
 
@@ -28,6 +29,7 @@ void sweep_problem(const char* name, GluingProblem (*make)(int),
   std::printf("  honest (Theta(log n)):");
   for (int n : sizes) {
     const GluingOutcome o = run_gluing_attack(make(0), n, n, 6);
+    if (o.fooled()) ++bench::failed_rows();
     std::printf(" %-7s", o.fooled() ? "YES(!)" : "no");
   }
   std::printf("\n\n");
@@ -56,5 +58,5 @@ int main() {
   std::printf(
       "Reading the table: each column's yes->no flip sits at b ~ log2(n),\n"
       "matching the paper's Theta(log n) proof-size threshold.\n");
-  return 0;
+  return lcp::bench::table_exit_status();
 }

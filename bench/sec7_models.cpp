@@ -1,6 +1,8 @@
 // Section 7.1: LogLCP is robust across models — unique identifiers (M1)
 // versus port numbering + leader (M2) — at an O(log n) translation cost.
 // Section 3.2: the Korman et al. PLS model is strictly weaker (agreement).
+// Exits 1 on any "(bug)" outcome or any honest proof rejected, so CI fails
+// on a broken reproduction.
 #include <cstdio>
 #include <memory>
 
@@ -16,6 +18,12 @@
 namespace lcp {
 namespace {
 
+/// Counts a failed check in the exit status and passes `ok` through.
+bool check(bool ok) {
+  if (!ok) ++bench::failed_rows();
+  return ok;
+}
+
 void translation_table() {
   std::printf("M1 -> M2 translation (Section 7.1): parity of n, certified\n"
               "with ports + leader only, via DFS-interval synthetic ids.\n\n");
@@ -28,9 +36,9 @@ void translation_table() {
     g.set_label(0, kLeaderLabel);
     const auto inner_proof = inner->prove(g);
     const auto outer_proof = translated.prove(g);
-    const bool ok =
+    const bool ok = check(
         outer_proof.has_value() &&
-        default_engine().run(g, *outer_proof, translated.verifier()).all_accept;
+        default_engine().run(g, *outer_proof, translated.verifier()).all_accept);
     std::printf("  %-6d %-18d %-22d %s\n", n,
                 inner_proof.has_value() ? inner_proof->size_bits() : -1,
                 outer_proof.has_value() ? outer_proof->size_bits() : -1,
@@ -51,8 +59,9 @@ void round_trip_table() {
   for (int n : {9, 33, 129}) {
     const Graph g = gen::cycle(n);
     const auto proof = scheme->prove(g);
-    const bool ok = proof.has_value() &&
-                    default_engine().run(g, *proof, scheme->verifier()).all_accept;
+    const bool ok = check(
+        proof.has_value() &&
+        default_engine().run(g, *proof, scheme->verifier()).all_accept);
     std::printf("  %-6d %-14d %s\n", n,
                 proof.has_value() ? proof->size_bits() : -1,
                 ok ? "all nodes accept" : "REJECTED");
@@ -72,9 +81,9 @@ void id_blindness() {
   std::vector<NodeId> ids = g.ids();
   for (NodeId& id : ids) id = id * 17 + 3;
   const Graph h = gen::with_ids(g, ids);
-  const bool same =
+  const bool same = check(
       proof.has_value() &&
-      default_engine().run(h, *proof, translated.verifier()).all_accept;
+      default_engine().run(h, *proof, translated.verifier()).all_accept);
   std::printf("  verdict unchanged: %s\n\n", same ? "yes" : "NO (bug)");
 }
 
@@ -87,16 +96,17 @@ void pls_separation() {
 
   const schemes::AgreementScheme lcp_scheme;
   const auto lcp_proof = lcp_scheme.prove(same);
+  const bool lcp_yes_accepted = check(
+      default_engine().run(same, *lcp_proof, lcp_scheme.verifier()).all_accept);
+  const bool lcp_no_rejected = check(
+      !default_engine()
+           .run(mixed, Proof::empty(24), lcp_scheme.verifier())
+           .all_accept);
   std::printf("  LCP model:  proof size %d bits; yes-instance %s, "
               "no-instance %s\n",
               lcp_proof->size_bits(),
-              default_engine().run(same, *lcp_proof, lcp_scheme.verifier()).all_accept
-                  ? "accepted"
-                  : "rejected",
-              default_engine().run(mixed, Proof::empty(24), lcp_scheme.verifier())
-                      .all_accept
-                  ? "ACCEPTED (bug)"
-                  : "rejected");
+              lcp_yes_accepted ? "accepted" : "rejected",
+              lcp_no_rejected ? "rejected" : "ACCEPTED (bug)");
 
   const schemes::PlsAgreementScheme pls;
   const Proof pls_proof = pls.prove(same);
@@ -112,11 +122,13 @@ void pls_separation() {
       break;
     }
   }
+  const bool pls_yes_accepted =
+      check(run_pls_verifier(same, pls_proof, pls).all_accept);
+  check(!mixed_accepted_somehow);
   std::printf("  PLS model:  proof size %d bit; yes-instance %s; mixed "
               "instance fooled by any sampled 1-bit proof: %s\n",
               pls_proof.size_bits(),
-              run_pls_verifier(same, pls_proof, pls).all_accept ? "accepted"
-                                                                : "rejected",
+              pls_yes_accepted ? "accepted" : "rejected",
               mixed_accepted_somehow ? "YES (bug)" : "no");
   std::printf("  => 0 bits in LCP vs 1 bit in PLS: the LCP model strictly\n"
               "     generalises locally checkable labellings, the PLS model "
@@ -134,5 +146,5 @@ int main() {
   lcp::id_blindness();
   lcp::pls_separation();
   lcp::bench::rule();
-  return 0;
+  return lcp::bench::table_exit_status();
 }

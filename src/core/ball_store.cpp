@@ -83,8 +83,6 @@ bool BallStore::publish(std::uint64_t fingerprint, int radius,
   const std::lock_guard<std::mutex> lock(mutex_);
   if (ball_nodes > options_.max_ball_nodes) {
     counters_.rejected.fetch_add(1, std::memory_order_relaxed);
-    if (uncacheable_.size() >= 4) uncacheable_.erase(uncacheable_.begin());
-    uncacheable_.push_back(Uncacheable{fingerprint, radius});
     return false;
   }
   if (Entry* existing = find_locked(fingerprint, radius); existing != nullptr) {
@@ -117,29 +115,10 @@ bool BallStore::publish(std::uint64_t fingerprint, int radius,
   return true;
 }
 
-bool BallStore::contains(std::uint64_t fingerprint, int radius) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& entry : entries_) {
-    if (entry.fingerprint == fingerprint && entry.radius == radius) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool BallStore::uncacheable(std::uint64_t fingerprint, int radius) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Uncacheable& u : uncacheable_) {
-    if (u.fingerprint == fingerprint && u.radius == radius) return true;
-  }
-  return false;
-}
-
 void BallStore::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
   ball_nodes_ = 0;
-  uncacheable_.clear();
 }
 
 BallStoreStats BallStore::stats() const {

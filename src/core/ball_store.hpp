@@ -3,10 +3,10 @@
 //
 // A caching engine's per-node view cache is private to it, so a warm sweep
 // by one engine would do nothing for a second engine over the same graph.
-// The BallStore factors that storage out: caching engines (IncrementalEngine
-// and the sharded engine's per-shard stores) publish the balls they extract
-// and adopt the balls other engines published, sharing the underlying
-// CachedNodeView objects by shared_ptr instead of copying them.
+// The BallStore factors that storage out: IncrementalEngine instances publish
+// the balls they extract and adopt the balls other instances published,
+// sharing the underlying CachedNodeView objects by shared_ptr instead of
+// copying them.
 //
 // Sharing is safe because of a copy-on-write contract: a CachedNodeView
 // reachable from more than one owner (the store plus any engine working set)
@@ -18,7 +18,7 @@
 // tests/test_ball_store.cpp pins these semantics.
 //
 // Locking contract (the store is thread-safe, not merely compatible):
-//   - entries_, ball_nodes_, and uncacheable_ are guarded by mutex_; every
+//   - entries_ and ball_nodes_ are guarded by mutex_; every
 //     member function that touches them takes the lock.
 //   - The hit/miss/publish/eviction counters are relaxed atomics, updated
 //     under the lock but readable without it: stats() never blocks a
@@ -98,9 +98,8 @@ struct BallStoreStats {
 };
 
 /// The store proper: (graph fingerprint, radius) -> one BallPtr per node,
-/// LRU-evicted under a ball-node budget.  Graphs whose ball sum exceeds the
-/// budget on their own are remembered as uncacheable so engines stop
-/// re-offering them.
+/// LRU-evicted under a ball-node budget.  An entry whose ball sum exceeds the
+/// budget on its own is refused.
 class BallStore {
  public:
   explicit BallStore(BallStoreOptions options = {}) : options_(options) {}
@@ -120,16 +119,10 @@ class BallStore {
 
   /// Installs (or replaces) the entry, taking shared ownership of the
   /// balls.  `ball_nodes` is the caller-computed sum of ball sizes (used
-  /// for eviction accounting).  Returns false when the entry alone exceeds
-  /// the budget — the pair is then marked uncacheable instead.
+  /// for eviction accounting).  Returns false (and counts a rejection) when
+  /// the entry alone exceeds the budget.
   bool publish(std::uint64_t fingerprint, int radius,
                std::vector<BallPtr> balls, std::size_t ball_nodes);
-
-  /// True when the entry is resident.  No LRU update, no counters.
-  bool contains(std::uint64_t fingerprint, int radius) const;
-
-  /// True when a publish of the pair was refused for blowing the budget.
-  bool uncacheable(std::uint64_t fingerprint, int radius) const;
 
   void clear();
 
@@ -168,11 +161,6 @@ class BallStore {
   mutable std::mutex mutex_;
   std::list<Entry> entries_;  // most recently used first
   std::size_t ball_nodes_ = 0;
-  struct Uncacheable {
-    std::uint64_t fingerprint = 0;
-    int radius = -1;
-  };
-  std::vector<Uncacheable> uncacheable_;
   // Live counters: relaxed atomics so stats() needs no lock (see the
   // locking contract in the header comment).
   struct Counters {

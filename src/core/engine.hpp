@@ -15,8 +15,9 @@
 //     keeps per-node views and verdicts and, fed graph/proof deltas through
 //     a DeltaTracker (core/delta.hpp), re-verifies only the nodes whose
 //     balls intersect the change.
-//   - ShardedEngine and SpotCheckEngine (core/sharded_engine.hpp,
-//     core/spot_check.hpp) build on the same delta machinery.
+//   - SpotCheckEngine (core/spot_check.hpp): verifies a budgeted sample of
+//     the dirty balls and escalates any sampled rejection to an exact inner
+//     engine; it builds on the same delta machinery.
 //
 // All engines must produce bit-identical RunResults on the same input; the
 // equivalence corpus in tests/test_engines.cpp enforces this.
@@ -103,7 +104,7 @@ class ExecutionEngine {
   /// Offers a telemetry sink (obs/telemetry.hpp); nullptr detaches.  An
   /// engine that opts in adapts its live Stats counters into the sink's
   /// MetricRegistry as derived gauges under "engine.<name>." (plus any
-  /// pool/store/transport gauges it owns) and emits trace spans around its
+  /// pool/store gauges it owns) and emits trace spans around its
   /// phases.  Implementations must withdraw their derived gauges — from
   /// the previously attached registry on re-attach/detach, and in their
   /// destructor — so a registry can safely outlive the engine.  The
@@ -117,8 +118,8 @@ class ExecutionEngine {
 
   /// Offers a flight-recorder journal (obs/journal.hpp); nullptr
   /// detaches.  An engine that opts in emits structured events (patch
-  /// fallbacks, halo exchanges, lane dispatches, cache overflows) while
-  /// attached.  The default backend ignores journals.
+  /// fallbacks, lane dispatches, cache overflows) while attached.  The
+  /// default backend ignores journals.
   virtual void attach_journal(obs::Journal* journal) { (void)journal; }
 
   /// The journal currently attached, if the engine consumes one.
@@ -211,9 +212,8 @@ class SweepEngine final : public ExecutionEngine {
 ExecutionEngine& default_engine();
 
 /// Factory by backend name: "direct", "message-passing", "parallel",
-/// "incremental", "sharded[:K[:PART]]" (K = shard count, PART = "range"
-/// or "hash"), or "spotcheck[:BUDGET[:inner]]" (BUDGET in [0, 1]; inner
-/// is any exact backend spec, default "incremental" — see
+/// "incremental", or "spotcheck[:BUDGET[:inner]]" (BUDGET in [0, 1];
+/// inner is any exact backend name, default "incremental" — see
 /// core/spot_check.hpp).  Throws std::invalid_argument on an unknown
 /// name.  Defined in local/engine_factory.cpp so core/ stays independent
 /// of local/.

@@ -112,10 +112,6 @@ VerificationSession::Builder& VerificationSession::Builder::engine(
   }
   if (backend == "parallel") return engine(EngineKind::kParallel);
   if (backend == "incremental") return engine(EngineKind::kIncremental);
-  if (backend == "sharded" || backend.rfind("sharded:", 0) == 0) {
-    sharded_options_ = parse_sharded_spec(backend);
-    return engine(EngineKind::kSharded);
-  }
   if (backend == "spotcheck" || backend.rfind("spotcheck:", 0) == 0) {
     // Validate eagerly so a typo throws here, not at build(); the spec
     // string is kept verbatim because the inner engine's construction
@@ -149,12 +145,6 @@ VerificationSession::Builder& VerificationSession::Builder::maintainer(
 VerificationSession::Builder& VerificationSession::Builder::engine_options(
     IncrementalEngineOptions options) {
   incremental_options_ = std::move(options);
-  return *this;
-}
-
-VerificationSession::Builder& VerificationSession::Builder::sharded_options(
-    ShardedEngineOptions options) {
-  sharded_options_ = std::move(options);
   return *this;
 }
 
@@ -261,15 +251,6 @@ VerificationSession::VerificationSession(Builder&& b)
       engine_ = std::move(incremental);
       break;
     }
-    case EngineKind::kSharded: {
-      ShardedEngineOptions options = std::move(b.sharded_options_);
-      // The session routes every mutation through its tracker, so the
-      // per-run state-fingerprint recompute buys nothing.  b.store_ is
-      // ignored: shard stores are private (owned-position layout).
-      options.verify_state = false;
-      engine_ = std::make_unique<ShardedEngine>(std::move(options));
-      break;
-    }
     case EngineKind::kSpotCheck: {
       SpotCheckSpec spec = parse_spotcheck_spec(b.spotcheck_spec_);
       if (b.spotcheck_options_.has_value()) {
@@ -285,11 +266,6 @@ VerificationSession::VerificationSession(Builder&& b)
             std::make_unique<IncrementalEngine>(std::move(options));
         incremental_ = incremental.get();
         inner = std::move(incremental);
-      } else if (spec.inner == "sharded" ||
-                 spec.inner.rfind("sharded:", 0) == 0) {
-        ShardedEngineOptions options = parse_sharded_spec(spec.inner);
-        options.verify_state = false;
-        inner = std::make_unique<ShardedEngine>(std::move(options));
       } else {
         inner = make_engine(spec.inner);
       }
@@ -499,7 +475,7 @@ RunResult VerificationSession::apply(const MutationBatch& batch) {
   const ApplyScope apply_guard(*this);
   // Phase instrumentation: each scope is a trace span plus a latency
   // histogram sample, and a no-op (one branch) when telemetry is off.
-  // Engine-side spans (incremental.dirty_scan, sharded.halo_exchange...)
+  // Engine-side spans (incremental.dirty_scan, incremental.reextract...)
   // nest under the verify scope on the same thread.
   PhaseScope apply_scope(telemetry_.get(), "session.apply", hist_apply_);
   ++stats_.batches;

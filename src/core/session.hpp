@@ -50,7 +50,6 @@
 #include "core/incremental.hpp"
 #include "core/registry.hpp"
 #include "core/scheme.hpp"
-#include "core/sharded_engine.hpp"
 #include "core/spot_check.hpp"
 #include "obs/forensics.hpp"
 #include "obs/journal.hpp"
@@ -68,7 +67,6 @@ enum class EngineKind {
   kMessagePassing,
   kParallel,
   kIncremental,
-  kSharded,
   kSpotCheck,
 };
 
@@ -131,8 +129,7 @@ class VerificationSession {
 
     Builder& engine(EngineKind kind);
     /// Backend by make_engine name ("direct", "message-passing",
-    /// "parallel", "incremental", "sharded[:K[:PART]]",
-    /// "spotcheck[:BUDGET[:inner]]").
+    /// "parallel", "incremental", "spotcheck[:BUDGET[:inner]]").
     Builder& engine(std::string_view backend);
 
     /// Shared ball store for cross-engine view reuse.  Only the
@@ -150,12 +147,6 @@ class VerificationSession {
     /// the embedded store field).  verify_state defaults OFF: the session
     /// owns the pair and routes every mutation through its tracker.
     Builder& engine_options(IncrementalEngineOptions options);
-
-    /// Options for the sharded backend.  verify_state is forced OFF at
-    /// build() for the same reason; store() is ignored by this backend —
-    /// its per-shard stores are keyed on owned-position layouts no other
-    /// engine produces.
-    Builder& sharded_options(ShardedEngineOptions options);
 
     /// Options for the spot-check backend (seed, weights, budget).
     /// Overrides the budget parsed from an engine("spotcheck:...") spec;
@@ -179,9 +170,8 @@ class VerificationSession {
     Builder& telemetry(bool on);
 
     /// Attaches a flight-recorder journal (obs/journal.hpp) to the whole
-    /// stack: the session's apply() pipeline, the engine (and its
-    /// transport, for the sharded backend), the ball store, and the
-    /// maintainer all emit structured events into it.  Sharing one
+    /// stack: the session's apply() pipeline, the engine, the ball
+    /// store, and the maintainer all emit structured events into it.  Sharing one
     /// journal across sessions interleaves them (events carry labels).
     Builder& journal(std::shared_ptr<obs::Journal> journal);
     /// Convenience: journal(true) creates a fresh private journal;
@@ -214,7 +204,6 @@ class VerificationSession {
     bool maintain_ = false;
     std::unique_ptr<dynamic::ProofMaintainer> maintainer_;
     IncrementalEngineOptions incremental_options_{.verify_state = false};
-    ShardedEngineOptions sharded_options_;
     std::string spotcheck_spec_ = "spotcheck";
     std::optional<SpotCheckOptions> spotcheck_options_;
     const SchemeRegistry* registry_ = nullptr;
@@ -265,7 +254,7 @@ class VerificationSession {
   dynamic::ProofMaintainer* maintainer() { return maintainer_.get(); }
   bool maintainer_bound() const { return bound_; }
   const SessionStats& stats() const { return stats_; }
-  /// The backend's name() ("incremental", "sharded", "direct", ...), for
+  /// The backend's name() ("incremental", "direct", "spotcheck", ...), for
   /// reports and server stats.
   const std::string& engine_name() const { return engine_name_; }
 

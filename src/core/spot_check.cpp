@@ -14,8 +14,7 @@ namespace lcp {
 
 SpotCheckSpec parse_spotcheck_spec(std::string_view name) {
   // Grammar: "spotcheck", "spotcheck:BUDGET", "spotcheck:BUDGET:INNER"
-  // where INNER is any make_engine spelling and may contain colons
-  // ("sharded:4:hash").
+  // where INNER is any make_engine spelling of an exact backend.
   SpotCheckSpec spec;
   if (name == "spotcheck") return spec;
   constexpr std::string_view prefix = "spotcheck:";

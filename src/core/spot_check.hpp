@@ -98,9 +98,9 @@ struct SpotCheckSpec {
 };
 
 /// Parses "spotcheck", "spotcheck:0.01", "spotcheck:0.01:direct",
-/// "spotcheck:0.01:sharded:4:hash", ...  The inner spec is everything
-/// after the second colon and may itself carry colons; it must name an
-/// exact backend (nesting spot-check inside spot-check is rejected).
+/// "spotcheck:0.01:parallel", ...  The inner spec is everything after the
+/// second colon; it must name an exact backend (nesting spot-check inside
+/// spot-check is rejected).
 /// Throws std::invalid_argument on malformed specs or budgets outside
 /// [0, 1].
 SpotCheckSpec parse_spotcheck_spec(std::string_view name);

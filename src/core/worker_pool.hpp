@@ -1,8 +1,8 @@
 // A persistent worker pool shared by the engines that shard work.
 //
-// SweepEngine's node ranges, IncrementalEngine's dirty-ball re-verification
-// and ShardedEngine's lanes all run on it, so the synchronisation lives in
-// one place.  The pool is deliberately minimal: dispatch(active, job) runs
+// SweepEngine's node ranges and IncrementalEngine's dirty-ball
+// re-verification both run on it, so the synchronisation lives in one
+// place.  The pool is deliberately minimal: dispatch(active, job) runs
 // job(w) on workers [0, active) and blocks until every one finishes,
 // rethrowing the first worker exception in the caller's thread.  Workers
 // are created once and parked on a condition variable between dispatches,

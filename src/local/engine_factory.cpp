@@ -6,7 +6,6 @@
 
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
-#include "core/sharded_engine.hpp"
 #include "core/spot_check.hpp"
 #include "local/message_passing.hpp"
 
@@ -19,9 +18,6 @@ std::unique_ptr<ExecutionEngine> make_engine(std::string_view name) {
   }
   if (name == "parallel") return std::make_unique<SweepEngine>(0);
   if (name == "incremental") return std::make_unique<IncrementalEngine>();
-  if (name == "sharded" || name.rfind("sharded:", 0) == 0) {
-    return std::make_unique<ShardedEngine>(parse_sharded_spec(name));
-  }
   if (name == "spotcheck" || name.rfind("spotcheck:", 0) == 0) {
     // The inner spec recurses through the factory; parse_spotcheck_spec
     // rejects nested spot-checks, so the recursion is one level deep.

@@ -9,7 +9,7 @@
 //   - RateSampler: a background (or manually driven) sampler that keeps a
 //     bounded window of timestamped snapshots and derives sliding-window
 //     rates from it — per-counter and per-monotone-gauge deltas/second
-//     (applies/sec, repairs/sec, transport bytes/sec) and per-histogram
+//     (applies/sec, repairs/sec, store publishes/sec) and per-histogram
 //     p99 drift across the window.
 //
 // The sampler reads the registry only through snapshot() and deliberately

@@ -17,12 +17,8 @@ const char* journal_kind_name(JournalEventKind kind) {
       return "reprove";
     case JournalEventKind::kPatchFallback:
       return "patch_fallback";
-    case JournalEventKind::kHaloExchange:
-      return "halo_exchange";
     case JournalEventKind::kLaneDispatch:
       return "lane_dispatch";
-    case JournalEventKind::kTransportSend:
-      return "transport_send";
     case JournalEventKind::kStoreAdopt:
       return "store_adopt";
     case JournalEventKind::kStorePublish:

@@ -5,8 +5,8 @@
 // (obs/trace.hpp) say how *long* it took; neither says what happened in
 // what order right before a verdict flipped.  The journal is that third
 // artefact: every layer of the stack emits compact structured events —
-// batch applied, repair emitted, patch-vs-reextract fallback, halo
-// exchange, lane dispatch, verdict change — into a per-thread ring, and
+// batch applied, repair emitted, patch-vs-reextract fallback, lane
+// dispatch, verdict change — into a per-thread ring, and
 // rejection forensics (obs/forensics.hpp) snapshots the tail as the
 // "black box" window preceding a flip.
 //
@@ -45,9 +45,7 @@ enum class JournalEventKind : std::uint8_t {
   kRepairDeclined,  ///< a maintainer gave up; reprove follows
   kReprove,         ///< full prover fallback (diff ops applied)
   kPatchFallback,   ///< cached views re-extracted instead of patched
-  kHaloExchange,    ///< sharded ghost fringe (re)built
   kLaneDispatch,    ///< work fanned out across worker lanes
-  kTransportSend,   ///< one ShardTransport message
   kStoreAdopt,      ///< a BallStore lookup served a full sweep
   kStorePublish,    ///< a sweep published its balls to the store
   kCacheOverflow,   ///< a view cache was abandoned (budget blown)

@@ -13,7 +13,7 @@
 //
 // Metric naming convention: `layer.component.metric`, all lower-case —
 // e.g. "engine.incremental.full_sweeps", "store.ball.hit_rate",
-// "pool.sharded.lane3.busy_us", "session.apply.latency".  The layer
+// "pool.incremental.lane3.busy_us", "session.apply.latency".  The layer
 // prefix is what the CI telemetry smoke validates, so new instrumentation
 // should extend an existing layer rather than invent spellings.
 //

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
 #include "core/runner.hpp"
+#include "core/session.hpp"
 #include "graph/generators.hpp"
 #include "local/message_passing.hpp"
 #include "schemes/cycle_certified.hpp"
@@ -191,7 +193,7 @@ TEST(EngineFactory, KnowsEveryBackend) {
   const Graph g = gen::cycle(8);
   const Proof p = *scheme.prove(g);
   for (const char* name :
-       {"direct", "message-passing", "parallel", "incremental", "sharded"}) {
+       {"direct", "message-passing", "parallel", "incremental"}) {
     const std::unique_ptr<ExecutionEngine> engine = make_engine(name);
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->name(), name);
@@ -200,6 +202,18 @@ TEST(EngineFactory, KnowsEveryBackend) {
   EXPECT_EQ(SweepEngine(1).name(), "direct");
   EXPECT_EQ(SweepEngine(4).name(), "parallel");
   EXPECT_THROW(make_engine("quantum"), std::invalid_argument);
+}
+
+TEST(EngineFactory, RefusesRemovedShardedSpelling) {
+  // "sharded[:K[:PART]]" names no backend: the factory and the session
+  // builder refuse it like any unknown name.
+  for (const char* name : {"sharded", "sharded:2", "sharded:4:hash"}) {
+    EXPECT_THROW(make_engine(name), std::invalid_argument) << name;
+  }
+  EXPECT_THROW(make_engine("spotcheck:0.1:sharded:2"), std::invalid_argument);
+  auto builder = VerificationSession::on(gen::cycle(8));
+  EXPECT_THROW(builder.engine("sharded:2"), std::invalid_argument);
+  EXPECT_THROW(builder.engine("sharded"), std::invalid_argument);
 }
 
 TEST(Engines, ExhaustiveSearchMatchesAcrossEngines) {
@@ -215,8 +229,7 @@ TEST(Engines, ExhaustiveSearchMatchesAcrossEngines) {
     return true;
   });
   for (const char* name :
-       {"direct", "message-passing", "parallel", "incremental",
-        "sharded:2"}) {
+       {"direct", "message-passing", "parallel", "incremental"}) {
     const std::unique_ptr<ExecutionEngine> engine = make_engine(name);
     EXPECT_TRUE(exists_accepted_proof(gen::cycle(4), two_col, 1, *engine))
         << name;

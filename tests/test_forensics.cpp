@@ -350,7 +350,7 @@ TEST(ForensicsFuzz, ReportsAcrossEngineBackends) {
   for (const EngineKind kind :
        {EngineKind::kDirect, EngineKind::kMessagePassing,
         EngineKind::kParallel, EngineKind::kIncremental,
-        EngineKind::kSharded, EngineKind::kSpotCheck}) {
+        EngineKind::kSpotCheck}) {
     Graph start = leader_start(14, 9001);
     auto session = VerificationSession::on(std::move(start))
                        .scheme("leader-election")

@@ -47,12 +47,8 @@ TEST(Journal, KindNamesAreStableSnakeCase) {
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kReprove), "reprove");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kPatchFallback),
                "patch_fallback");
-  EXPECT_STREQ(journal_kind_name(JournalEventKind::kHaloExchange),
-               "halo_exchange");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kLaneDispatch),
                "lane_dispatch");
-  EXPECT_STREQ(journal_kind_name(JournalEventKind::kTransportSend),
-               "transport_send");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kStoreAdopt),
                "store_adopt");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kStorePublish),
@@ -130,8 +126,8 @@ TEST(Journal, ConcurrentEmittersKeepPerThreadRingsAndGlobalSeq) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&journal, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        journal.emit(JournalEventKind::kTransportSend, "transport",
-                     {{"from", t}, {"to", i}});
+        journal.emit(JournalEventKind::kLaneDispatch, "pool",
+                     {{"lane", t}, {"nodes", i}});
       }
     });
   }

@@ -112,7 +112,7 @@ TEST(ProtocolRoundTrip, OpenSession) {
   OpenSessionRequest m;
   m.graph_id = 9;
   m.scheme = "leader-election & maximal-matching";
-  m.engine = "sharded:4";
+  m.engine = "spotcheck:0.01:direct";
   m.maintain = true;
   OpenSessionRequest out;
   ASSERT_TRUE(decode(parse_one(encode(m)), &out));

@@ -160,6 +160,19 @@ TEST(SessionServer, UnknownGraphAndBadScheme) {
   EXPECT_FALSE(bad.error.empty());
 }
 
+TEST(SessionServer, RemovedShardedBackendIsRefused) {
+  // "sharded[:K[:PART]]" names no backend: the open fails with an error,
+  // like any unknown engine, and leaves no session behind.
+  auto server = grid_server(small_options());
+  const std::size_t before = server->session_count();
+  const OpenResult opened =
+      server->open_session(kGraphId, "bipartite", "sharded:4", false);
+  EXPECT_FALSE(opened.ok);
+  EXPECT_FALSE(opened.unknown_graph);
+  EXPECT_FALSE(opened.error.empty());
+  EXPECT_EQ(server->session_count(), before);
+}
+
 TEST(SessionServer, VerdictHistoryEvictsOldTickets) {
   SessionServerOptions options = small_options();
   options.verdict_history = 2;

@@ -531,11 +531,9 @@ TEST(SpotCheckSpecTest, ParsesBudgetAndInner) {
   EXPECT_DOUBLE_EQ(i.options.budget, 0.01);
   EXPECT_EQ(i.inner, "direct");
 
-  // The inner spec may itself carry colons.
-  const SpotCheckSpec s =
-      parse_spotcheck_spec("spotcheck:0.5:sharded:4:hash");
+  const SpotCheckSpec s = parse_spotcheck_spec("spotcheck:0.5:parallel");
   EXPECT_DOUBLE_EQ(s.options.budget, 0.5);
-  EXPECT_EQ(s.inner, "sharded:4:hash");
+  EXPECT_EQ(s.inner, "parallel");
 
   EXPECT_THROW(parse_spotcheck_spec("spotcheck:"), std::invalid_argument);
   EXPECT_THROW(parse_spotcheck_spec("spotcheck:1.5"),
@@ -609,14 +607,14 @@ TEST(SpotCheckSession, BuilderAcceptsInnerSpecsAndOptions) {
   const schemes::BipartiteScheme scheme;
   auto session = VerificationSession::on(gen::grid(3, 3))
                      .scheme(scheme)
-                     .engine("spotcheck:0.25:sharded:2")
+                     .engine("spotcheck:0.25:parallel")
                      .spotcheck_options({.budget = 1.0, .seed = 99})
                      .build();
   ASSERT_NE(session.spot_check_engine(), nullptr);
   EXPECT_EQ(session.incremental_engine(), nullptr);
   // spotcheck_options() overrides the parsed budget.
   EXPECT_DOUBLE_EQ(session.spot_check_engine()->budget(), 1.0);
-  EXPECT_EQ(session.spot_check_engine()->inner().name(), "sharded");
+  EXPECT_EQ(session.spot_check_engine()->inner().name(), "parallel");
   EXPECT_TRUE(session.verify().all_accept);
 
   MutationBatch batch;

@@ -2,7 +2,7 @@
 // history), independent of the wrapped exact backend.
 //
 // Three SpotCheckEngine lanes share one seed but wrap Direct, Incremental
-// and Sharded inners, each over its own replica of the mutated pair; fed
+// and Parallel inners, each over its own replica of the mutated pair; fed
 // the identical schedule they must produce identical sample sets,
 // verdicts, tracker fingerprints, and error-accounting stats on every
 // step.  Different seeds over the same schedule must diverge on a solid
@@ -102,7 +102,7 @@ TEST(SpotCheckDeterminism, SameSeedSameSamplesAcrossInnerBackends) {
   std::vector<std::unique_ptr<Lane>> lanes;
   lanes.push_back(make_lane("direct", start, p0, options));
   lanes.push_back(make_lane("incremental", start, p0, options));
-  lanes.push_back(make_lane("sharded:2", start, p0, options));
+  lanes.push_back(make_lane("parallel", start, p0, options));
 
   std::mt19937 rng(20260808);
   std::size_t sampled_steps = 0;

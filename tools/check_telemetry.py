@@ -91,9 +91,7 @@ JOURNAL_KINDS = {
     "repair_declined",
     "reprove",
     "patch_fallback",
-    "halo_exchange",
     "lane_dispatch",
-    "transport_send",
     "store_adopt",
     "store_publish",
     "cache_overflow",
