@@ -11,6 +11,8 @@
 //   3. the honest O(n^2) scheme resists: its proofs pin down the whole
 //      adjacency matrix, so the first differing bit sits in the matrix
 //      area -- only a constant factor below the trivial upper bound.
+//
+// Exits 1 (count on stderr) if the honest O(n^2) scheme is ever fooled.
 #include <cmath>
 #include <cstdio>
 
@@ -59,6 +61,7 @@ void transplant_table() {
                 o.all_accept ? "yes" : "no",
                 o.fooled() ? "FOOLED (accepted asymmetric graph)"
                            : "resists");
+    if (b == 0 && o.fooled()) ++bench::failed_rows();
     if (b == 0) {
       std::printf(
           "  first differing proof bit between f(G1.G1) and f(G2.G2): %d "
@@ -82,5 +85,5 @@ int main() {
       "log2|F_k| grows quadratically while a proof exposes only O(bits) in\n"
       "the window U: collisions are unavoidable below ~n^2 bits, and the\n"
       "executable transplant confirms every collision is fatal.\n");
-  return 0;
+  return lcp::bench::table_exit_status();
 }

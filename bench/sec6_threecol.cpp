@@ -10,6 +10,9 @@
 //      and G_{B,~B} stitched onto the 3-colourable no-instance G_{A,~B},
 //      accepted by a truncated universal scheme, rejected by the honest
 //      O(n^2) one.
+//
+// Exits 1 (count on stderr) on a solver/semantics disagreement, a failed
+// prover, or an honest O(n^2) scheme that is fooled.
 #include <cmath>
 #include <cstdio>
 #include <random>
@@ -46,7 +49,11 @@ void gadget_law() {
     const bool sem = joined_colorable_semantics(a, b);
     const bool solved = k_coloring(j.graph, 3).has_value();
     ++trials;
-    if (sem == solved) ++agreements;
+    if (sem == solved) {
+      ++agreements;
+    } else {
+      ++bench::failed_rows();
+    }
     std::printf("  %-4d %-7d %-12d %-12s %-10s %s\n", 1, 2, j.graph.n(),
                 sem ? "colourable" : "NOT", solved ? "colourable" : "NOT",
                 sem == solved ? "yes" : "NO");
@@ -99,8 +106,10 @@ void transplant() {
         run_threecol_transplant(k, a, b, r, *scheme, *engine);
     if (!o.proofs_exist) {
       std::printf("  prover failed (unexpected)\n");
+      ++bench::failed_rows();
       continue;
     }
+    if (b_bits == 0 && o.fooled()) ++bench::failed_rows();
     char label[64];
     if (b_bits == 0) {
       std::snprintf(label, sizeof label, "honest O(n^2)");
@@ -127,5 +136,5 @@ int main() {
       "Substitution note: our G_A uses the classic CNF/OR-gadget encoding\n"
       "(Theta(k 4^k) nodes) instead of the extended version's Theta(2^k);\n"
       "the 3-colouring semantics -- all the argument needs -- coincide.\n");
-  return 0;
+  return lcp::bench::table_exit_status();
 }

@@ -35,15 +35,9 @@ bool is_connected(const Graph& g) {
 }
 
 std::vector<int> RootedTree::subtree_sizes() const {
-  const int n = static_cast<int>(parent.size());
-  std::vector<int> order(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-  std::sort(order.begin(), order.end(), [this](int a, int b) {
-    return dist[static_cast<std::size_t>(a)] > dist[static_cast<std::size_t>(b)];
-  });
-  std::vector<int> size(static_cast<std::size_t>(n), 0);
-  for (int v : order) {
-    if (parent[static_cast<std::size_t>(v)] < 0) continue;  // unreachable
+  std::vector<int> size(parent.size(), 0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const int v = *it;
     size[static_cast<std::size_t>(v)] += 1;
     if (v != root) {
       size[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])] +=
@@ -63,18 +57,19 @@ RootedTree bfs_tree_impl(const Graph& g, int root,
   tree.dist.assign(static_cast<std::size_t>(g.n()), -1);
   tree.parent[static_cast<std::size_t>(root)] = root;
   tree.dist[static_cast<std::size_t>(root)] = 0;
-  std::queue<int> queue;
-  queue.push(root);
-  while (!queue.empty()) {
-    const int v = queue.front();
-    queue.pop();
+  // `order` doubles as the BFS queue: nodes are only appended, and the
+  // scan head never overtakes the tail.
+  tree.order.reserve(static_cast<std::size_t>(g.n()));
+  tree.order.push_back(root);
+  for (std::size_t head = 0; head < tree.order.size(); ++head) {
+    const int v = tree.order[head];
     for (const HalfEdge& h : g.neighbors(v)) {
       if (edge_ok != nullptr && !(*edge_ok)(h.edge)) continue;
       if (tree.parent[static_cast<std::size_t>(h.to)] < 0) {
         tree.parent[static_cast<std::size_t>(h.to)] = v;
         tree.dist[static_cast<std::size_t>(h.to)] =
             tree.dist[static_cast<std::size_t>(v)] + 1;
-        queue.push(h.to);
+        tree.order.push_back(h.to);
       }
     }
   }

@@ -16,13 +16,20 @@ std::vector<int> components(const Graph& g);
 bool is_connected(const Graph& g);
 
 /// A rooted spanning structure: parent[root] == root; parent[v] == -1 when
-/// v is unreachable from the root.
+/// v is unreachable from the root.  `order` lists the reached nodes in
+/// discovery order, so every parent comes before its children.
 struct RootedTree {
   int root = 0;
   std::vector<int> parent;
   std::vector<int> dist;
+  std::vector<int> order;
 
-  /// Sizes of the subtree hanging below each node (1 for leaves).
+  /// True when the tree reaches every node (the graph, or the subgraph of
+  /// allowed edges, is connected).
+  bool spans() const { return order.size() == parent.size(); }
+
+  /// Sizes of the subtree hanging below each node (1 for leaves, 0 when
+  /// unreachable); one pass over `order`, children before parents.
   std::vector<int> subtree_sizes() const;
 };
 

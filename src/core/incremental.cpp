@@ -1,6 +1,7 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -90,11 +91,17 @@ void IncrementalEngine::invalidate() {
 
 RunResult IncrementalEngine::result_from_verdicts() const {
   RunResult result;
-  for (int v = 0; v < static_cast<int>(verdicts_.size()); ++v) {
-    if (!verdicts_[static_cast<std::size_t>(v)]) {
-      result.all_accept = false;
-      result.rejecting.push_back(v);
-    }
+  // memchr skips the long accepting stretches a word at a time.
+  const std::uint8_t* const first = verdicts_.data();
+  std::size_t from = 0;
+  while (from < verdicts_.size()) {
+    const void* hit = std::memchr(first + from, 0, verdicts_.size() - from);
+    if (hit == nullptr) break;
+    const auto v = static_cast<std::size_t>(
+        static_cast<const std::uint8_t*>(hit) - first);
+    result.all_accept = false;
+    result.rejecting.push_back(static_cast<int>(v));
+    from = v + 1;
   }
   return result;
 }
@@ -111,9 +118,34 @@ RunResult IncrementalEngine::run(const Graph& g, const Proof& p,
   return run_content_path(g, p, a);
 }
 
+void IncrementalEngine::refresh_changed_proofs(BallPtr& slot,
+                                               const Proof& p) const {
+  // Members not flagged still hold the label they were cached with, which
+  // is p's; a flagged one is copied (cloning a shared ball) only when it
+  // differs, so an identical rewrite keeps the ball shared.
+  const std::size_t size = slot->host.size();
+  for (std::size_t i = 0; i < size; ++i) {
+    const auto u = static_cast<std::size_t>(slot->host[i]);
+    if (proof_changed_[u] == 0 || slot->view.proofs[i] == p.labels[u]) {
+      continue;
+    }
+    exclusive_ball(slot).view.proofs[i] = p.labels[u];
+  }
+}
+
 void IncrementalEngine::rebuild_inverted_index() {
+  // Count first, then fill: one exactly sized allocation per node instead
+  // of push_back's growth chain.
   const int n = static_cast<int>(cache_.size());
+  std::vector<int> count(static_cast<std::size_t>(n), 0);
+  for (const BallPtr& ball : cache_) {
+    for (int u : ball->host) ++count[static_cast<std::size_t>(u)];
+  }
   inverted_.assign(static_cast<std::size_t>(n), {});
+  for (int u = 0; u < n; ++u) {
+    inverted_[static_cast<std::size_t>(u)].reserve(
+        static_cast<std::size_t>(count[static_cast<std::size_t>(u)]));
+  }
   for (int c = 0; c < n; ++c) {
     for (int u : cache_[static_cast<std::size_t>(c)]->host) {
       inverted_[static_cast<std::size_t>(u)].push_back(c);
@@ -132,6 +164,7 @@ RunResult IncrementalEngine::full_sweep(const Graph& g, const Proof& p,
 
   cache_.clear();
   inverted_.assign(static_cast<std::size_t>(n), {});
+  proof_changed_.assign(static_cast<std::size_t>(n), 0);
   verdicts_.assign(static_cast<std::size_t>(n), 1);
   last_proofs_ = p.labels;
   cached_ball_nodes_ = 0;
@@ -307,48 +340,61 @@ void IncrementalEngine::reverify(const Graph& g, const Proof& p,
     }
     stats_.reextractions += reextract_centers.size();
   }
-  // Patched balls carry current structure but possibly stale proofs when a
-  // proof flip rode along in the same batch; the refresh is equality-gated
-  // so it costs a comparison when nothing changed.
-  for (int c : patched_centers) {
-    refresh_ball_proofs(cache_[static_cast<std::size_t>(c)], p);
-  }
-  for (int c : proof_dirty) {
-    refresh_ball_proofs(cache_[static_cast<std::size_t>(c)], p);
-  }
-
   const obs::TraceRecorder::Span verify_span =
       obs::maybe_span(telemetry_, "incremental.verify");
-  batch_views_.clear();
-  batch_views_.reserve(count);
+  batch_centers_.clear();
+  batch_centers_.reserve(count);
   for (const std::vector<int>* list :
        {&reextract_centers, &patched_centers, &proof_dirty}) {
-    for (int c : *list) {
-      batch_views_.push_back(&cache_[static_cast<std::size_t>(c)]->view);
-    }
+    batch_centers_.insert(batch_centers_.end(), list->begin(), list->end());
   }
+  batch_views_.resize(count);
   batch_out_.resize(count);
+  // Patched balls carry current structure but possibly stale proofs when a
+  // proof flip rode along in the same batch, and proof-dirty balls need
+  // the flip itself.  Each block of balls is refreshed right before it is
+  // verified, so the verifier reads them while they are still in cache.
+  const std::size_t fresh = reextract_centers.size();
+  const auto verify_range = [&](std::size_t lo, std::size_t hi) {
+    constexpr std::size_t kBlock = 64;
+    for (std::size_t begin = lo; begin < hi; begin += kBlock) {
+      const std::size_t end = std::min(hi, begin + kBlock);
+      // The balls sit far apart in the heap: start all of the block's
+      // loads before walking it, instead of one miss after another.
+      for (std::size_t i = begin; i < end; ++i) {
+        __builtin_prefetch(
+            cache_[static_cast<std::size_t>(batch_centers_[i])].get());
+      }
+      for (std::size_t i = begin; i < end; ++i) {
+        const CachedNodeView& ball =
+            *cache_[static_cast<std::size_t>(batch_centers_[i])];
+        __builtin_prefetch(ball.host.data());
+        __builtin_prefetch(ball.view.proofs.data());
+      }
+      for (std::size_t i = begin; i < end; ++i) {
+        BallPtr& slot = cache_[static_cast<std::size_t>(batch_centers_[i])];
+        if (i >= fresh) refresh_changed_proofs(slot, p);
+        batch_views_[i] = &slot->view;
+      }
+      a.accept_batch(batch_views_.data() + begin, end - begin,
+                     batch_out_.data() + begin);
+    }
+  };
   if (shard) {
     const int active =
         std::min({workers, pool_->size(), static_cast<int>(count)});
     const std::function<void(int)> job = [&](int w) {
-      const std::size_t lo = count * static_cast<std::size_t>(w) /
-                             static_cast<std::size_t>(active);
-      const std::size_t hi = count * (static_cast<std::size_t>(w) + 1) /
-                             static_cast<std::size_t>(active);
-      a.accept_batch(batch_views_.data() + lo, hi - lo,
-                     batch_out_.data() + lo);
+      verify_range(count * static_cast<std::size_t>(w) /
+                       static_cast<std::size_t>(active),
+                   count * (static_cast<std::size_t>(w) + 1) /
+                       static_cast<std::size_t>(active));
     };
     pool_->dispatch(active, job);
   } else {
-    a.accept_batch(batch_views_.data(), count, batch_out_.data());
+    verify_range(0, count);
   }
-  std::size_t i = 0;
-  for (const std::vector<int>* list :
-       {&reextract_centers, &patched_centers, &proof_dirty}) {
-    for (int c : *list) {
-      verdicts_[static_cast<std::size_t>(c)] = batch_out_[i++];
-    }
+  for (std::size_t i = 0; i < count; ++i) {
+    verdicts_[static_cast<std::size_t>(batch_centers_[i])] = batch_out_[i];
   }
   stats_.nodes_reverified += count;
 }
@@ -412,6 +458,7 @@ RunResult IncrementalEngine::run_tracker_path(const Graph& g, const Proof& p,
       cache_[v] = std::make_shared<CachedNodeView>();
     }
     inverted_.resize(static_cast<std::size_t>(n));
+    proof_changed_.resize(static_cast<std::size_t>(n), 0);
     verdicts_.resize(static_cast<std::size_t>(n), 1);
     last_proofs_.resize(static_cast<std::size_t>(n));
   }
@@ -486,6 +533,7 @@ RunResult IncrementalEngine::run_tracker_path(const Graph& g, const Proof& p,
         if (d.kind != ViewDelta::Kind::kNodeLabel) visit(d.v);
       }
       for (int u : record->proof_nodes) {
+        proof_changed_[static_cast<std::size_t>(u)] = 1;
         for (int c : inverted_[static_cast<std::size_t>(u)]) {
           mark(c, kProofDirty);
         }
@@ -494,6 +542,7 @@ RunResult IncrementalEngine::run_tracker_path(const Graph& g, const Proof& p,
   } else {
     for (const DirtyRecord* record : *records) {
       for (int u : record->proof_nodes) {
+        proof_changed_[static_cast<std::size_t>(u)] = 1;
         for (int c : inverted_[static_cast<std::size_t>(u)]) {
           mark(c, kProofDirty);
         }
@@ -551,6 +600,7 @@ RunResult IncrementalEngine::run_tracker_path(const Graph& g, const Proof& p,
     for (int u : record->proof_nodes) {
       last_proofs_[static_cast<std::size_t>(u)] =
           p.labels[static_cast<std::size_t>(u)];
+      proof_changed_[static_cast<std::size_t>(u)] = 0;
     }
   }
   if (graph_changed) cached_graph_fp_valid_ = false;
@@ -595,6 +645,7 @@ RunResult IncrementalEngine::run_content_path(const Graph& g, const Proof& p,
       continue;
     }
     changed_nodes.push_back(v);
+    proof_changed_[static_cast<std::size_t>(v)] = 1;
     for (int c : inverted_[static_cast<std::size_t>(v)]) {
       if (!dirty_mark_[static_cast<std::size_t>(c)]) {
         dirty_mark_[static_cast<std::size_t>(c)] = kProofDirty;
@@ -611,6 +662,7 @@ RunResult IncrementalEngine::run_content_path(const Graph& g, const Proof& p,
   for (int v : changed_nodes) {
     last_proofs_[static_cast<std::size_t>(v)] =
         p.labels[static_cast<std::size_t>(v)];
+    proof_changed_[static_cast<std::size_t>(v)] = 0;
   }
   // The cached verdicts now reflect this (possibly foreign) proof, not the
   // tracker's bound pair — identical-content graphs share a fingerprint,

@@ -163,6 +163,9 @@ class IncrementalEngine final : public ExecutionEngine {
                 const std::vector<int>& reextract_centers,
                 const std::vector<int>& patched_centers,
                 const std::vector<int>& proof_dirty);
+  /// Copies into the slot's ball the labels of members flagged in
+  /// proof_changed_ that differ from p (COW: a shared ball is cloned first).
+  void refresh_changed_proofs(BallPtr& slot, const Proof& p) const;
   void rebuild_inverted_index();
   RunResult result_from_verdicts() const;
   void invalidate();
@@ -199,6 +202,11 @@ class IncrementalEngine final : public ExecutionEngine {
   std::vector<std::vector<int>> inverted_;  // node -> containing centres
   std::vector<std::uint8_t> verdicts_;
   std::vector<BitString> last_proofs_;  // exact copy for the content diff
+  // Nodes whose proof label changed in the round being verified, so that
+  // reverify compares only those members of a dirty ball rather than every
+  // member's label.  Cleared when the round commits; a flag left behind by
+  // a throwing verifier only costs a comparison.
+  std::vector<std::uint8_t> proof_changed_;
   std::size_t cached_ball_nodes_ = 0;
 
   // The most recent delta run's sorted dirty set (see last_dirty_centers).
@@ -210,6 +218,7 @@ class IncrementalEngine final : public ExecutionEngine {
   // Per-centre visit epoch for delta replay (64-bit: never recycled).
   std::vector<std::uint64_t> op_epoch_;
   std::uint64_t op_epoch_counter_ = 0;
+  std::vector<int> batch_centers_;
   std::vector<const View*> batch_views_;
   std::vector<std::uint8_t> batch_out_;
 

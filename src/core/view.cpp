@@ -229,9 +229,13 @@ bool views_bit_identical(const View& a, const View& b) {
 
 void ViewExtractor::bind(const Graph& g) {
   g_ = &g;
-  position_.assign(static_cast<std::size_t>(g.n()), -1);
-  order_.clear();
-  dist_.clear();
+  // extract() leaves every position_ entry at -1, so growing keeps that
+  // invariant without refilling.  edge_map_ needs no reset at all: an
+  // entry is only read after this extraction wrote it.
+  position_.resize(static_cast<std::size_t>(g.n()), -1);
+  if (edge_map_.size() < static_cast<std::size_t>(g.m())) {
+    edge_map_.resize(static_cast<std::size_t>(g.m()));
+  }
 }
 
 View ViewExtractor::extract(const Proof& p, int v, int radius,
@@ -261,27 +265,59 @@ View ViewExtractor::extract(const Proof& p, int v, int radius,
     }
   }
 
+  // The ball is written straight into Graph's containers, each sized once,
+  // and comes out bit-identical to add_node/add_edge in ball order followed
+  // by add_edge for every member-member edge from its smaller-index end.
+  const std::size_t k = order_.size();
   View view;
   view.radius = radius;
   view.center = 0;
-  for (int u : order_) view.ball.add_node(g.id(u), g.label(u));
-  // Ball edges come from the members' adjacency lists, not a scan of every
-  // host edge; each in-ball edge is seen from both endpoints and added once,
-  // from the endpoint with the smaller ball index.  Endpoint insertion
-  // order must mirror the host edge's (edge_u, edge_v): direction masks in
+  Graph& ball = view.ball;
+  ball.ids_.resize(k);
+  ball.labels_.resize(k);
+  ball.adj_.resize(k);
+  int half_edges = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const int u = order_[i];
+    ball.ids_[i] = g.id(u);
+    ball.labels_[i] = g.label(u);
+    int degree = 0;
+    for (const HalfEdge& h : g.neighbors(u)) {
+      if (position_[static_cast<std::size_t>(h.to)] >= 0) ++degree;
+    }
+    ball.adj_[i] = Graph::AdjSlot{half_edges, 0, degree};
+    half_edges += degree;
+  }
+  ball.rebuild_index(k);
+  ball.half_.resize(static_cast<std::size_t>(half_edges));
+  ball.edges_.reserve(static_cast<std::size_t>(half_edges / 2));
+  // Each in-ball edge is emitted from the endpoint with the smaller ball
+  // index, in that member's adjacency order; by the time the other
+  // endpoint's list is written, edge_map_ holds its ball index.  Endpoint
+  // order mirrors the host edge's (edge_u, edge_v): direction masks in
   // edge labels (graph/directed.hpp) are interpreted relative to it.
-  for (std::size_t i = 0; i < order_.size(); ++i) {
+  // Filtering the host's id-sorted list keeps each ball list id-sorted,
+  // as ball ids are host ids.
+  for (std::size_t i = 0; i < k; ++i) {
+    Graph::AdjSlot& slot = ball.adj_[i];
     for (const HalfEdge& h : g.neighbors(order_[i])) {
       const int j = position_[static_cast<std::size_t>(h.to)];
+      if (j < 0) continue;
+      int& ball_edge = edge_map_[static_cast<std::size_t>(h.edge)];
       if (j > static_cast<int>(i)) {
-        const int e = h.edge;
-        view.ball.add_edge(position_[static_cast<std::size_t>(g.edge_u(e))],
-                           position_[static_cast<std::size_t>(g.edge_v(e))],
-                           g.edge_label(e), g.edge_weight(e));
+        ball_edge = ball.m();
+        const Graph::EdgeRecord& rec =
+            g.edges_[static_cast<std::size_t>(h.edge)];
+        ball.edges_.push_back(Graph::EdgeRecord{
+            position_[static_cast<std::size_t>(rec.u)],
+            position_[static_cast<std::size_t>(rec.v)], rec.label,
+            rec.weight});
       }
+      ball.half_[static_cast<std::size_t>(slot.begin + slot.size++)] =
+          HalfEdge{j, ball_edge};
     }
   }
-  view.proofs.reserve(order_.size());
+  view.proofs.reserve(k);
   for (int u : order_) {
     view.proofs.push_back(p.labels[static_cast<std::size_t>(u)]);
   }

@@ -126,18 +126,26 @@ View extract_view(const Graph& g, const Proof& p, int v, int radius);
 ///
 /// Extracting all n views one `extract_view` call at a time costs O(n * m):
 /// the induced-subgraph step scans every host edge per node.  ViewExtractor
-/// binds to a host graph once, keeps O(n) scratch buffers alive between
+/// binds to a host graph once, keeps O(n + m) scratch buffers alive between
 /// calls, discovers the ball with a single BFS (reusing its distances), and
 /// assembles ball edges from the ball members' adjacency lists only — so a
-/// whole-graph sweep costs O(sum of ball sizes).  This is the extraction
-/// kernel behind sweep_sequential and SweepEngine (core/engine.hpp); each
-/// thread owns its own extractor, as instances are not thread-safe.
+/// whole-graph sweep costs O(sum of ball sizes).  As a friend of Graph it
+/// writes the ball in one pass: ids, labels and the id index sized to the
+/// ball, edges in extraction order through a host-edge -> ball-edge scratch
+/// map, and each adjacency list filtered from the host's id-sorted one — no
+/// per-edge sorted insert, parallel-edge scan or index rehash, and a
+/// constant number of allocations per view.  The result is bit-identical
+/// to building the ball with add_node/add_edge (tests/test_view_extract.cpp
+/// pins this).  This is the extraction kernel behind sweep_sequential,
+/// SweepEngine (core/engine.hpp) and IncrementalEngine; each thread owns its
+/// own extractor, as instances are not thread-safe.
 class ViewExtractor {
  public:
   ViewExtractor() = default;
   explicit ViewExtractor(const Graph& g) { bind(g); }
 
-  /// (Re)binds to a host graph, resizing the scratch buffers.
+  /// (Re)binds to a host graph, resizing the scratch buffers.  Bind again
+  /// after the host gains nodes or edges.
   void bind(const Graph& g);
 
   /// Extracts the view of node v (dense index) under proof p.  When
@@ -152,6 +160,7 @@ class ViewExtractor {
   std::vector<int> position_;  // host index -> ball index; -1 when outside
   std::vector<int> order_;     // ball members as host indices, BFS order
   std::vector<int> dist_;      // distance from centre, aligned with order_
+  std::vector<int> edge_map_;  // host edge -> ball edge, valid once written
 };
 
 }  // namespace lcp

@@ -1,21 +1,54 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
 namespace lcp {
 
+namespace {
+
+/// Home slot of `id` in an index table of mask + 1 slots: Fibonacci
+/// hashing with the high half folded in, so both sequential ids and ids
+/// sharing their low bits spread.
+std::size_t home_slot(NodeId id, std::size_t mask) {
+  const std::uint64_t h = id * 0x9E3779B97F4A7C15ULL;
+  return static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+}
+
+}  // namespace
+
+std::size_t Graph::probe(NodeId id) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t s = home_slot(id, mask);
+  while (index_[s] >= 0 && ids_[static_cast<std::size_t>(index_[s])] != id) {
+    s = (s + 1) & mask;
+  }
+  return s;
+}
+
+void Graph::rebuild_index(std::size_t nodes) {
+  // The smallest power of two that keeps the table at most half full.
+  index_.assign(std::bit_ceil(2 * nodes), -1);
+  for (int v = 0; v < n(); ++v) {
+    index_[probe(ids_[static_cast<std::size_t>(v)])] = v;
+  }
+}
+
 int Graph::add_node(NodeId id, std::uint64_t label) {
-  if (index_.contains(id)) {
+  if (index_of(id).has_value()) {
     throw std::invalid_argument("Graph::add_node: duplicate node id " +
                                 std::to_string(id));
   }
   const int v = n();
+  if (2 * (ids_.size() + 1) > index_.size()) {
+    rebuild_index(ids_.size() + 1);
+  }
+  index_[probe(id)] = v;
   ids_.push_back(id);
   labels_.push_back(label);
   adj_.emplace_back();
-  index_.emplace(id, v);
   return v;
 }
 
@@ -31,22 +64,64 @@ void Graph::check_new_edge(int u, int v) const {
   }
 }
 
+std::span<HalfEdge> Graph::list_of(int v) {
+  const AdjSlot& s = adj_[static_cast<std::size_t>(v)];
+  return {half_.data() + s.begin, static_cast<std::size_t>(s.size)};
+}
+
 void Graph::insert_half(int at, int to, int edge) {
-  auto& list = adj_[static_cast<std::size_t>(at)];
-  auto it = std::lower_bound(
-      list.begin(), list.end(), to,
+  AdjSlot& slot = adj_[static_cast<std::size_t>(at)];
+  if (slot.size == slot.cap) {
+    // Full: double the slot.  A list that already ends the buffer grows
+    // in place; any other moves to the end and leaves its old slot dead.
+    const int cap = slot.cap == 0 ? 2 : 2 * slot.cap;
+    const int end = static_cast<int>(half_.size());
+    if (slot.cap > 0 && slot.begin + slot.cap == end) {
+      half_.resize(static_cast<std::size_t>(slot.begin + cap));
+    } else {
+      half_.resize(static_cast<std::size_t>(end + cap));
+      std::copy_n(half_.begin() + slot.begin, slot.size,
+                  half_.begin() + end);
+      dead_slots_ += slot.cap;
+      slot.begin = end;
+    }
+    slot.cap = cap;
+  }
+  HalfEdge* first = half_.data() + slot.begin;
+  HalfEdge* last = first + slot.size;
+  HalfEdge* it = std::lower_bound(
+      first, last, to,
       [this](const HalfEdge& h, int node) { return id(h.to) < id(node); });
-  list.insert(it, HalfEdge{to, edge});
+  std::move_backward(it, last, last + 1);
+  *it = HalfEdge{to, edge};
+  ++slot.size;
+  // Doubling alone keeps the dead below the live capacity, so the bound is
+  // half of it; repacking then costs O(1) amortised per insert.
+  const auto dead = static_cast<std::size_t>(dead_slots_);
+  if (2 * dead > half_.size() - dead) compact_adjacency();
+}
+
+void Graph::compact_adjacency() {
+  std::size_t live = 0;
+  for (const AdjSlot& s : adj_) live += static_cast<std::size_t>(s.cap);
+  std::vector<HalfEdge> packed(live);
+  int next = 0;
+  for (AdjSlot& s : adj_) {
+    std::copy_n(half_.begin() + s.begin, s.size, packed.begin() + next);
+    s.begin = next;
+    next += s.cap;
+  }
+  half_ = std::move(packed);
+  dead_slots_ = 0;
 }
 
 void Graph::drop_half(int at, int to) {
-  auto& list = adj_[static_cast<std::size_t>(at)];
-  for (auto it = list.begin(); it != list.end(); ++it) {
-    if (it->to == to) {
-      list.erase(it);
-      return;
-    }
-  }
+  const std::span<HalfEdge> list = list_of(at);
+  auto it = std::find_if(list.begin(), list.end(),
+                         [to](const HalfEdge& h) { return h.to == to; });
+  if (it == list.end()) return;
+  std::move(it + 1, list.end(), it);
+  --adj_[static_cast<std::size_t>(at)].size;
 }
 
 int Graph::add_edge(int u, int v, std::uint64_t label, std::int64_t weight) {
@@ -65,8 +140,8 @@ int Graph::insert_edge_at(int slot, int u, int v, std::uint64_t label,
     throw std::invalid_argument("Graph::insert_edge_at: slot out of range");
   }
   edges_.insert(edges_.begin() + slot, EdgeRecord{u, v, label, weight});
-  for (auto& list : adj_) {
-    for (HalfEdge& h : list) {
+  for (int w = 0; w < n(); ++w) {
+    for (HalfEdge& h : list_of(w)) {
       if (h.edge >= slot) ++h.edge;
     }
   }
@@ -83,8 +158,8 @@ void Graph::remove_edge_stable(int u, int v) {
   drop_half(u, v);
   drop_half(v, u);
   edges_.erase(edges_.begin() + e);
-  for (auto& list : adj_) {
-    for (HalfEdge& h : list) {
+  for (int w = 0; w < n(); ++w) {
+    for (HalfEdge& h : list_of(w)) {
       if (h.edge > e) --h.edge;
     }
   }
@@ -103,7 +178,7 @@ void Graph::remove_edge(int u, int v) {
     // Re-point the moved edge's two adjacency entries at the new slot.
     const EdgeRecord& moved = edges_[static_cast<std::size_t>(e)];
     for (int endpoint : {moved.u, moved.v}) {
-      for (HalfEdge& h : adj_[static_cast<std::size_t>(endpoint)]) {
+      for (HalfEdge& h : list_of(endpoint)) {
         if (h.edge == last) h.edge = e;
       }
     }
@@ -112,21 +187,21 @@ void Graph::remove_edge(int u, int v) {
 }
 
 int Graph::edge_index(int u, int v) const {
-  const auto& list = adj_[static_cast<std::size_t>(u)];
-  for (const HalfEdge& h : list) {
+  for (const HalfEdge& h : neighbors(u)) {
     if (h.to == v) return h.edge;
   }
   return -1;
 }
 
 std::optional<int> Graph::index_of(NodeId id) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  if (index_.empty()) return std::nullopt;
+  const int v = index_[probe(id)];
+  if (v < 0) return std::nullopt;
+  return v;
 }
 
 int Graph::port_of(int v, int u) const {
-  const auto& list = adj_[static_cast<std::size_t>(v)];
+  const std::span<const HalfEdge> list = neighbors(v);
   for (std::size_t p = 0; p < list.size(); ++p) {
     if (list[p].to == u) return static_cast<int>(p);
   }

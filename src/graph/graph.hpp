@@ -9,14 +9,20 @@
 // is payload, never an array index.  Directed instances (needed only for
 // directed s-t unreachability) reuse the undirected structure with a
 // direction mask stored in the edge label; see graph/directed.hpp.
+//
+// Storage is a handful of flat vectors, so building or copying a graph
+// costs a constant number of heap allocations rather than one per node:
+// ids and labels per node, edge records per edge, every adjacency list in
+// one pooled half-edge buffer, and the id -> index map as an
+// open-addressing table of node indices.
 #ifndef LCP_GRAPH_GRAPH_HPP_
 #define LCP_GRAPH_GRAPH_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lcp {
@@ -36,6 +42,14 @@ struct HalfEdge {
 /// Adjacency lists are kept sorted by neighbour *id* so that port numbers
 /// (positions in the list) are a deterministic function of the id assignment,
 /// as required by the model translations of Section 7.1.
+///
+/// Span lifetime: all adjacency lists share one buffer, and a list that
+/// outgrows its slot moves (which may compact the whole buffer).  So any
+/// structural mutation -- add_edge, insert_edge_at, remove_edge,
+/// remove_edge_stable -- may invalidate EVERY span previously returned by
+/// neighbors(), not only the mutated endpoints'.  add_node and the label
+/// and weight setters leave spans valid.  Re-fetch neighbors() after a
+/// structural mutation.
 class Graph {
  public:
   Graph() = default;
@@ -85,12 +99,12 @@ class Graph {
   }
 
   /// Neighbours of v, sorted ascending by neighbour id.
+  /// Valid until the next structural mutation (see the class comment).
   std::span<const HalfEdge> neighbors(int v) const {
-    return adj_[static_cast<std::size_t>(v)];
+    const AdjSlot& s = adj_[static_cast<std::size_t>(v)];
+    return {half_.data() + s.begin, static_cast<std::size_t>(s.size)};
   }
-  int degree(int v) const {
-    return static_cast<int>(adj_[static_cast<std::size_t>(v)].size());
-  }
+  int degree(int v) const { return adj_[static_cast<std::size_t>(v)].size; }
 
   bool has_edge(int u, int v) const { return edge_index(u, v) >= 0; }
 
@@ -123,7 +137,7 @@ class Graph {
 
   /// Neighbour of `v` behind port `p` (0-based).  Precondition: valid port.
   int neighbor_at_port(int v, int p) const {
-    return adj_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)].to;
+    return neighbors(v)[static_cast<std::size_t>(p)].to;
   }
 
   /// First node whose input label equals `label`, if any.
@@ -138,7 +152,16 @@ class Graph {
   /// Human-readable dump for debugging and examples.
   std::string to_string() const;
 
+  /// Half-edge slots held by the adjacency pool: live entries, spare
+  /// capacity, and slots abandoned by lists that moved.  Always >= 2m;
+  /// storage accounting only (tests use it to observe compaction).
+  std::size_t adjacency_pool_slots() const { return half_.size(); }
+
  private:
+  // ViewExtractor (core/view.hpp) assembles balls straight into these
+  // containers, bypassing add_node/add_edge.
+  friend class ViewExtractor;
+
   struct EdgeRecord {
     int u;
     int v;
@@ -146,15 +169,37 @@ class Graph {
     std::int64_t weight;
   };
 
+  /// Node v's adjacency list: half_[begin, begin + size), sorted by
+  /// neighbour id, inside a slot of `cap` entries.
+  struct AdjSlot {
+    int begin = 0;
+    int size = 0;
+    int cap = 0;
+  };
+
   void check_new_edge(int u, int v) const;
   void insert_half(int at, int to, int edge);
   void drop_half(int at, int to);
+  /// Repacks half_ in node order, each list keeping its capacity.
+  void compact_adjacency();
+  std::span<HalfEdge> list_of(int v);
+  /// Rebuilds index_ over the current ids, sized for `nodes` >= n() nodes.
+  void rebuild_index(std::size_t nodes);
+  /// The index_ slot holding `id`, or the empty slot where it belongs.
+  std::size_t probe(NodeId id) const;
 
   std::vector<NodeId> ids_;
   std::vector<std::uint64_t> labels_;
-  std::vector<std::vector<HalfEdge>> adj_;
+  std::vector<AdjSlot> adj_;
+  std::vector<HalfEdge> half_;  // every adjacency list, pooled
+  // half_ slots no list owns any more; compacted away once they exceed
+  // half of the slots lists do own.
+  int dead_slots_ = 0;
   std::vector<EdgeRecord> edges_;
-  std::unordered_map<NodeId, int> index_;
+  // Open addressing with linear probing: node indices, -1 for empty; the
+  // size is zero or a power of two at most half full.  Nodes are never
+  // removed, so there are no tombstones.
+  std::vector<int> index_;
 };
 
 }  // namespace lcp

@@ -51,6 +51,7 @@ DfsIntervals dfs_intervals(const Graph& g, int root) {
   out.tree.parent[static_cast<std::size_t>(root)] = root;
   out.tree.dist[static_cast<std::size_t>(root)] = 0;
   out.discovery[static_cast<std::size_t>(root)] = ++time;
+  out.tree.order.push_back(root);
   stack.push_back(Frame{root, 0});
   while (!stack.empty()) {
     Frame& frame = stack.back();
@@ -63,6 +64,7 @@ DfsIntervals dfs_intervals(const Graph& g, int root) {
       out.tree.dist[static_cast<std::size_t>(u)] =
           out.tree.dist[static_cast<std::size_t>(v)] + 1;
       out.discovery[static_cast<std::size_t>(u)] = ++time;
+      out.tree.order.push_back(u);
       stack.push_back(Frame{u, 0});
       descended = true;
       break;

@@ -10,9 +10,13 @@ namespace {
 /// Decodes the tree certificates of the centre and its neighbours, the only
 /// ones check_tree_cert_at_center and these schemes' own checks read; the
 /// entries of the distance-2 nodes stay nullopt.  Radius 2 is still needed:
-/// a neighbour's parent port is a rank in *its* adjacency list.
-std::vector<std::optional<TreeCert>> decode_ball_certs(const View& view) {
-  std::vector<std::optional<TreeCert>> certs(view.proofs.size());
+/// a neighbour's parent port is a rank in *its* adjacency list.  The
+/// result lives in a per-thread buffer, valid until the thread's next call,
+/// so an accept() allocates nothing once the buffer has grown.
+const std::vector<std::optional<TreeCert>>& decode_ball_certs(
+    const View& view) {
+  thread_local std::vector<std::optional<TreeCert>> certs;
+  certs.assign(view.proofs.size(), std::nullopt);
   auto decode = [&](int u) {
     BitReader r(view.proof_of(u));
     certs[static_cast<std::size_t>(u)] = read_tree_cert(r);
@@ -46,7 +50,7 @@ Proof certs_to_proof(const std::vector<TreeCert>& certs) {
 LeaderElectionScheme::LeaderElectionScheme(int trunc_bits)
     : trunc_bits_(trunc_bits) {
   verifier_ = std::make_unique<LambdaVerifier>(2, [trunc_bits](const View& v) {
-    const auto certs = decode_ball_certs(v);
+    const auto& certs = decode_ball_certs(v);
     if (!check_tree_cert_at_center(v, certs, trunc_bits)) return false;
     const bool is_root = cert_says_root(*certs[static_cast<std::size_t>(
         v.center)]);
@@ -70,10 +74,20 @@ bool LeaderElectionScheme::holds(const Graph& g) const {
 }
 
 std::optional<Proof> LeaderElectionScheme::prove(const Graph& g) const {
-  if (!holds(g)) return std::nullopt;
-  const int leader = *g.find_label(kLeaderFlag);
-  return certs_to_proof(
-      make_tree_cert_labels(g, bfs_tree(g, leader), trunc_bits_));
+  // holds() without its own connectivity pass: the BFS tree the
+  // certificate is built from already says whether g is connected.
+  int leaders = 0;
+  int leader = -1;
+  for (int v = 0; v < g.n(); ++v) {
+    if (g.label(v) == kLeaderFlag) {
+      ++leaders;
+      leader = v;
+    }
+  }
+  if (leaders != 1) return std::nullopt;
+  const RootedTree tree = bfs_tree(g, leader);
+  if (!tree.spans()) return std::nullopt;
+  return certs_to_proof(make_tree_cert_labels(g, tree, trunc_bits_));
 }
 
 int LeaderElectionScheme::advertised_size(int n) const {
@@ -86,7 +100,7 @@ int LeaderElectionScheme::advertised_size(int n) const {
 SpanningTreeScheme::SpanningTreeScheme(int trunc_bits)
     : trunc_bits_(trunc_bits) {
   verifier_ = std::make_unique<LambdaVerifier>(2, [trunc_bits](const View& v) {
-    const auto certs = decode_ball_certs(v);
+    const auto& certs = decode_ball_certs(v);
     if (!check_tree_cert_at_center(v, certs, trunc_bits)) return false;
     // The certified tree edges at the centre must be exactly the labelled
     // edges: the parent edge plus the edges to certified children.
@@ -121,19 +135,22 @@ bool SpanningTreeScheme::holds(const Graph& g) const {
   }
   if (count != g.n() - 1) return false;
   auto edge_ok = [&g](int e) { return (g.edge_label(e) & kTreeEdgeBit) != 0; };
-  const RootedTree tree = bfs_tree_restricted(g, 0, edge_ok);
-  for (int v = 0; v < g.n(); ++v) {
-    if (tree.dist[static_cast<std::size_t>(v)] < 0) return false;
-  }
-  return true;
+  return bfs_tree_restricted(g, 0, edge_ok).spans();
 }
 
 std::optional<Proof> SpanningTreeScheme::prove(const Graph& g) const {
-  if (!holds(g)) return std::nullopt;
+  // holds() with its spanning check done on the certificate's own tree:
+  // n - 1 labelled edges reaching every node from one root form a
+  // spanning tree, whichever node the search starts from.
+  int count = 0;
+  for (int e = 0; e < g.m(); ++e) {
+    if (g.edge_label(e) & kTreeEdgeBit) ++count;
+  }
+  if (count != g.n() - 1) return std::nullopt;
   auto edge_ok = [&g](int e) { return (g.edge_label(e) & kTreeEdgeBit) != 0; };
-  const int root = min_id_node(g);
-  return certs_to_proof(make_tree_cert_labels(
-      g, bfs_tree_restricted(g, root, edge_ok), trunc_bits_));
+  const RootedTree tree = bfs_tree_restricted(g, min_id_node(g), edge_ok);
+  if (!tree.spans()) return std::nullopt;
+  return certs_to_proof(make_tree_cert_labels(g, tree, trunc_bits_));
 }
 
 int SpanningTreeScheme::advertised_size(int n) const {
@@ -147,7 +164,7 @@ ParityScheme::ParityScheme(bool want_odd, int trunc_bits)
     : want_odd_(want_odd), trunc_bits_(trunc_bits) {
   verifier_ = std::make_unique<LambdaVerifier>(
       2, [want_odd, trunc_bits](const View& v) {
-        const auto certs = decode_ball_certs(v);
+        const auto& certs = decode_ball_certs(v);
         if (!check_tree_cert_at_center(v, certs, trunc_bits)) return false;
         const TreeCert& mine = *certs[static_cast<std::size_t>(v.center)];
         if (cert_says_root(mine)) {
@@ -170,9 +187,11 @@ bool ParityScheme::holds(const Graph& g) const {
 }
 
 std::optional<Proof> ParityScheme::prove(const Graph& g) const {
-  if (!holds(g)) return std::nullopt;
-  return certs_to_proof(
-      make_tree_cert_labels(g, bfs_tree(g, min_id_node(g)), trunc_bits_));
+  // holds() with connectivity read off the certificate's BFS tree.
+  if ((g.n() % 2 == 1) != want_odd_) return std::nullopt;
+  const RootedTree tree = bfs_tree(g, min_id_node(g));
+  if (!tree.spans()) return std::nullopt;
+  return certs_to_proof(make_tree_cert_labels(g, tree, trunc_bits_));
 }
 
 int ParityScheme::advertised_size(int n) const {
